@@ -49,7 +49,6 @@ func main() {
 		execTrace = flag.String("exectrace", "", "write a runtime/trace execution trace to this file (view with go tool trace)")
 		metAddr   = flag.String("metrics-addr", "", "serve live /metrics, /metrics.json and /debug/pprof on this address (e.g. :8080)")
 		metJSON   = flag.String("metrics-json", "", "write the final metrics snapshot as JSON to this file")
-		simPipe   = flag.Bool("sim-pipeline", true, "overlap round t+1 prep with round t timing in the simulator (bit-identical reports; see DESIGN.md \u00a713)")
 	)
 	flag.Parse()
 
@@ -141,7 +140,6 @@ func main() {
 		Out:         os.Stdout,
 		Oracle:      orc,
 		Metrics:     reg,
-		SerialSim:   !*simPipe,
 	}
 	if *dp {
 		cfg.Mode = schedule.DP

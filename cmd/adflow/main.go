@@ -37,7 +37,6 @@ func main() {
 		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON of the AD execution to this file")
 		perfetto  = flag.String("perfetto", "", "write a full-span Perfetto trace (engine/NoC/DRAM lanes) to this file")
 		metJSON   = flag.String("metrics-json", "", "write the run's metrics snapshot as JSON to this file")
-		simPipe   = flag.Bool("sim-pipeline", true, "overlap round t+1 prep with round t timing in the simulator (bit-identical reports; see DESIGN.md \u00a713)")
 	)
 	flag.Parse()
 
@@ -57,7 +56,6 @@ func main() {
 		fatal(err)
 	}
 	hw := af.DefaultHardware()
-	hw.Pipeline = *simPipe
 	hw.Mesh = af.NewMesh(*engines, *engines, hw.Mesh.LinkBytes)
 	hw.Engine.PEx, hw.Engine.PEy = *pes, *pes
 	hw.Engine.BufferBytes = *buffer

@@ -31,12 +31,6 @@ import (
 type Config struct {
 	// HW is the hardware model (default sim.DefaultConfig()).
 	HW *sim.Config
-	// SerialSim disables the simulator's two-stage round pipeline
-	// (sim.Config.Pipeline) in every simulation of the run — the
-	// bit-identical but slower reference mode (-sim-pipeline=false on
-	// cmd/adexp). Applied after HW, so it also overrides an explicit
-	// hardware model.
-	SerialSim bool
 	// Workloads overrides the experiment's default model list (the
 	// paper's). Fast mode for CI uses a small subset.
 	Workloads []string
@@ -93,9 +87,6 @@ func (c Config) hw() sim.Config {
 	}
 	if hw.Metrics == nil {
 		hw.Metrics = c.Metrics
-	}
-	if c.SerialSim {
-		hw.Pipeline = false
 	}
 	return hw
 }

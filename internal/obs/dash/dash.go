@@ -43,8 +43,6 @@ const (
 	EvSurrogate EventType = "surrogate_gate"       // learned-oracle readiness flipped
 	EvStoreHit  EventType = "request_store_hit"    // answered from the persistent store
 	EvWarmStart EventType = "solve_warm_started"   // search seeded from a stored donor
-	EvFleet     EventType = "fleet_worker"         // a fleet worker joined or was lost
-	EvDegraded  EventType = "fleet_degraded"       // a distributed solve dropped chains
 )
 
 // Event is one dashboard event. Seq increases by one per published

@@ -163,8 +163,7 @@ es.onerror = () => { const c = $("conn"); c.textContent = "reconnecting…"; c.c
 for (const t of ["request_admitted", "request_dedup_joined", "request_cached",
                  "request_rejected", "solve_started", "solve_finished",
                  "solve_failed", "chain_exchange", "surrogate_gate",
-                 "request_store_hit", "solve_warm_started",
-                 "fleet_worker", "fleet_degraded"]) {
+                 "request_store_hit", "solve_warm_started"]) {
   es.addEventListener(t, (e) => {
     addEvent(JSON.parse(e.data));
     if (t === "solve_finished" || t === "solve_failed") refreshSessions();

@@ -274,8 +274,8 @@ func (r *runner) time(slot *prepSlot) {
 }
 
 // runSerial executes prep and time back to back on the calling goroutine
-// — the cfg.Pipeline=false path, and the reference the pipelined path is
-// tested against.
+// — the single-Round path of Run, and the RunSerial reference the
+// pipelined path is tested against.
 func (r *runner) runSerial() error {
 	var slot prepSlot
 	for t := range r.s.Rounds {

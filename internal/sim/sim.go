@@ -42,12 +42,6 @@ type Config struct {
 	// DoubleBuffer overlaps a Round's DRAM fetches with the previous
 	// Round's compute (default true via DefaultConfig).
 	DoubleBuffer bool
-	// Pipeline runs Round t+1's placement and buffer replay on a second
-	// goroutine while Round t is being timed (default true via
-	// DefaultConfig). The two stages share no mutable state, so the
-	// Report is bit-identical with the pipeline on or off — pinned by
-	// TestSimPipelineParity and the zoo digest matrix.
-	Pipeline bool
 	// NaiveMapping places Rounds in plain zig-zag order without the
 	// TransferCost permutation search or weight-affinity refinement —
 	// the placement a reuse-oblivious runtime (e.g. Rammer) would use.
@@ -113,7 +107,6 @@ func DefaultConfig() Config {
 		DRAM:         dram.Default(),
 		Energy:       energy.Default(),
 		DoubleBuffer: true,
-		Pipeline:     true,
 	}
 }
 
@@ -174,12 +167,24 @@ func (r Report) NoCOverheadFraction() float64 {
 // Run simulates the schedule on the configured hardware.
 //
 // The Round loop is a two-stage software pipeline (see pipeline.go):
-// round t+1's placement and buffer replay can run on a second goroutine
-// while round t is timed, and the mapper/buffer-manager/arena trio is
-// pooled across Run calls keyed by mesh shape. Neither changes the
-// Report by a single bit — Reports are pinned by the golden and zoo
-// digest tests with the pipeline both on and off.
+// for a multi-Round schedule, round t+1's placement and buffer replay
+// run on a second goroutine while round t is timed, and the
+// mapper/buffer-manager/arena trio is pooled across Run calls keyed by
+// mesh shape. Neither changes the Report by a single bit — pinned
+// against RunSerial by TestSimPipelineParity and by the golden and zoo
+// digest tests.
 func Run(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
+	return run(d, s, cfg, true)
+}
+
+// RunSerial is Run with the Round loop executed serially on the calling
+// goroutine. It exists only as the test reference the pipelined Run is
+// checked against; production callers use Run.
+func RunSerial(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
+	return run(d, s, cfg, false)
+}
+
+func run(d *atom.DAG, s *schedule.Schedule, cfg Config, pipeline bool) (Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return Report{}, err
 	}
@@ -205,7 +210,7 @@ func Run(d *atom.DAG, s *schedule.Schedule, cfg Config) (Report, error) {
 		hbm: hbm, orc: orc, sm: sm,
 	}
 	r.rep.Rounds = s.NumRounds()
-	if cfg.Pipeline && s.NumRounds() > 1 {
+	if pipeline && s.NumRounds() > 1 {
 		err = r.runPipelined()
 	} else {
 		err = r.runSerial()

@@ -50,8 +50,8 @@ func parityWorkload(t *testing.T, model string, cfg sim.Config) (*atom.DAG, *sch
 	return d, s
 }
 
-// TestSimPipelineParity runs every bundled model through sim.Run twice —
-// Pipeline off (the serial reference) and on — and requires the full
+// TestSimPipelineParity runs every bundled model through sim.RunSerial
+// (the serial reference) and the pipelined sim.Run, and requires the full
 // Report structs to be identical, at GOMAXPROCS 1 and 4.
 func TestSimPipelineParity(t *testing.T) {
 	names := ModelNames()
@@ -63,18 +63,14 @@ func TestSimPipelineParity(t *testing.T) {
 			hw.Oracle = cost.Default()
 			d, s := parityWorkload(t, model, hw)
 
-			serial := hw
-			serial.Pipeline = false
-			want, err := sim.Run(d, s, serial)
+			want, err := sim.RunSerial(d, s, hw)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, procs := range []int{1, 4} {
 				t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					piped := hw
-					piped.Pipeline = true
-					got, err := sim.Run(d, s, piped)
+					got, err := sim.Run(d, s, hw)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -103,7 +99,6 @@ func TestSimPipelineCancelNoLeak(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := hw
-		cfg.Pipeline = true
 		cfg.Ctx = ctx
 		rounds := 0
 		cfg.Trace = func(sim.RoundTrace) {
