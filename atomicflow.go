@@ -326,7 +326,10 @@ type Solution struct {
 	AtomCycleCV float64
 	// SATrace is the SA convergence trace (variance per iteration).
 	SATrace []float64
-	// SearchTime is the compile-time cost of the full search.
+	// SearchTime is the host wall-clock time of the compile-time search
+	// pipeline: the SA partition search (anneal.SA), the atomic-DAG build
+	// (atom.Build) and Round scheduling (schedule.Build). Simulation is
+	// not included.
 	SearchTime time.Duration
 	// OracleStats counts the cost-oracle evaluations, cache hits and
 	// misses of this orchestration (zero when the configured oracle does

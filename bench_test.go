@@ -625,6 +625,80 @@ func BenchmarkSimRunPipelined(b *testing.B) {
 	}
 }
 
+// stageSpec runs the default-profile SA search (seed 1, 600 iterations,
+// 1024 tiles per layer) on a model outside any timer and returns the
+// graph, the found partition spec and the warmed oracle, so the stage
+// benchmarks below measure atom.Build and schedule.Build alone.
+func stageSpec(b *testing.B, model string) (*graph.Graph, atom.Spec, cost.Oracle) {
+	b.Helper()
+	g, err := LoadModel(model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hw := DefaultHardware()
+	orc := cost.NewMemo(cost.Direct{})
+	res := anneal.SA(g, hw.Engine, hw.Dataflow, anneal.Options{MaxIters: 600, Seed: 1, Oracle: orc})
+	return g, res.Spec, orc
+}
+
+// benchDAGSink and benchSchedSink keep the stage benchmarks' results live.
+var (
+	benchDAGSink   *atom.DAG
+	benchSchedSink *schedule.Schedule
+)
+
+// stageModels are the stage benchmarks' workloads: paper scale (resnet50)
+// and the zoo's largest cold-solve DAG with many branches (nasnet).
+var stageModels = []string{"resnet50", "nasnet"}
+
+// BenchmarkAtomBuild measures the atomic-DAG build (stage 2 of a cold
+// solve) at batch 1.
+func BenchmarkAtomBuild(b *testing.B) {
+	for _, model := range stageModels {
+		b.Run(model, func(b *testing.B) {
+			g, spec, _ := stageSpec(b, model)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := atom.Build(g, 1, spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchDAGSink = d
+			}
+		})
+	}
+}
+
+// BenchmarkScheduleBuild measures the default DP Round scheduler (stage 3
+// of a cold solve) over a prebuilt batch-1 DAG, pricing atoms through the
+// oracle the search warmed, as Orchestrate does.
+func BenchmarkScheduleBuild(b *testing.B) {
+	for _, model := range stageModels {
+		b.Run(model, func(b *testing.B) {
+			g, spec, orc := stageSpec(b, model)
+			d, err := atom.Build(g, 1, spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hw := DefaultHardware()
+			opt := schedule.Options{
+				Engines: hw.Mesh.Engines(), EngineCfg: hw.Engine, Dataflow: hw.Dataflow, Oracle: orc,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := schedule.Build(d, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSchedSink = s
+			}
+			b.ReportMetric(float64(benchSchedSink.NumRounds()), "rounds")
+		})
+	}
+}
+
 // benchCalibSink keeps the calibration kernel from being elided.
 var benchCalibSink uint64
 

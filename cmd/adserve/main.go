@@ -5,7 +5,7 @@
 // an optional execution trace. Identical concurrent requests are
 // deduplicated, repeat requests are answered from an LRU solution cache,
 // and a bounded admission queue sheds load with 429 + Retry-After.
-// A live fleet dashboard — active solves with per-chain convergence
+// A live serve dashboard — active solves with per-chain convergence
 // sparklines, session history, and an SSE event stream — is embedded at
 // /debug/dash.
 //

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench 'SimRun|PlaceRound|Calibration' . | tee bench.txt
+//	go test -run xxx -bench 'SimRun|PlaceRound|AtomBuild|ScheduleBuild|Calibration' . | tee bench.txt
 //	benchgate -baseline testdata/bench_baseline.json -out BENCH_sim.json bench.txt
 //	benchgate -baseline testdata/bench_baseline.json -update bench.txt   # re-pin
 //
@@ -39,7 +39,11 @@ const calibration = "Calibration"
 
 // gated lists the benchmarks the gate enforces; others found in the
 // input are recorded in the artifact but never fail the build.
-var gated = []string{"SimRun", "SimRunDeep", "PlaceRound"}
+var gated = []string{
+	"SimRun", "SimRunDeep", "PlaceRound",
+	"AtomBuild/resnet50", "AtomBuild/nasnet",
+	"ScheduleBuild/resnet50", "ScheduleBuild/nasnet",
+}
 
 // baseline is the checked-in reference (testdata/bench_baseline.json).
 type baseline struct {
@@ -171,7 +175,7 @@ func main() {
 			verdict = "REGRESSED"
 			art.Pass = false
 		}
-		fmt.Printf("benchgate: %-12s %12.0f ns/op  expected %12.0f  ratio %.3f  %s\n",
+		fmt.Printf("benchgate: %-22s %12.0f ns/op  expected %12.0f  ratio %.3f  %s\n",
 			name, ns, expected, ratio, verdict)
 	}
 

@@ -8,7 +8,7 @@ import (
 )
 
 // TestProgressHookIsObservationOnly is the determinism contract behind
-// the fleet dashboard: attaching a Progress hook — which segments the
+// the serve dashboard: attaching a Progress hook — which segments the
 // single-chain loop and piggybacks on portfolio barriers — must leave
 // the Result byte-identical to a hookless run, at every width.
 func TestProgressHookIsObservationOnly(t *testing.T) {

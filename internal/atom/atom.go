@@ -90,12 +90,16 @@ func (a *Atom) String() string {
 }
 
 // grid records the regular tiling of one (layer, sample) so that
-// region→atom lookups are O(overlap) instead of O(atoms).
+// region→atom lookups are O(overlap) instead of O(atoms). An elided
+// (concat) layer's grid has base elided.
 type grid struct {
 	part       Partition
 	nH, nW, nC int
 	base       int // first atom ID of this grid
 }
+
+// elided marks the grid slot of a concat layer, which owns no atoms.
+const elided = -1
 
 // DAG is the atomic computation graph.
 type DAG struct {
@@ -104,7 +108,7 @@ type DAG struct {
 	Atoms []*Atom
 
 	consumers [][]int
-	grids     []map[int]grid // per sample: layerID -> grid (concat/elided layers absent)
+	grids     [][]grid // per sample, indexed by layer ID
 }
 
 // NumAtoms returns the vertex count.
@@ -115,10 +119,13 @@ func (d *DAG) NumAtoms() int { return len(d.Atoms) }
 func (d *DAG) Consumers(id int) []int { return d.consumers[id] }
 
 // AtomsOf returns the atom IDs of one (layer, sample), or nil if the layer
-// is elided (concat).
+// is elided (concat) or unknown.
 func (d *DAG) AtomsOf(sample, layerID int) []int {
-	g, ok := d.grids[sample][layerID]
-	if !ok {
+	if layerID < 0 || layerID >= len(d.grids[sample]) {
+		return nil
+	}
+	g := d.grids[sample][layerID]
+	if g.base == elided {
 		return nil
 	}
 	n := g.nH * g.nW * g.nC
@@ -150,6 +157,9 @@ func (d *DAG) Validate() error {
 	}
 	for s := 0; s < d.Batch; s++ {
 		for lid, gr := range d.grids[s] {
+			if gr.base == elided {
+				continue
+			}
 			l := d.Graph.Layer(lid)
 			var covered int64
 			n := gr.nH * gr.nW * gr.nC
@@ -171,37 +181,110 @@ func Build(g *graph.Graph, batch int, spec Spec) (*DAG, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("atom: batch %d < 1", batch)
 	}
-	d := &DAG{Graph: g, Batch: batch, grids: make([]map[int]grid, batch)}
+	// Resolve and validate every partition up front: the atom count
+	// Σ tiles × batch sizes the atom slab and the dependency scratch.
+	parts := make([]Partition, g.NumLayers())
+	perSample := 0
+	for _, lid := range g.Topo() {
+		l := g.Layer(lid)
+		if l.Kind == graph.OpConcat {
+			continue // elided: pure channel addressing
+		}
+		part, ok := spec[lid]
+		if !ok {
+			part = WholeLayer(l)
+		}
+		if err := part.Validate(l); err != nil {
+			return nil, err
+		}
+		parts[lid] = part
+		perSample += part.Tiles(l)
+	}
+	total := perSample * batch
+	d := &DAG{Graph: g, Batch: batch, grids: make([][]grid, batch)}
+	b := &builder{
+		d:     d,
+		slab:  make([]Atom, total),
+		pos:   make([]int32, total),
+		stamp: make([]uint32, total),
+	}
+	d.Atoms = make([]*Atom, 0, total)
 	for s := 0; s < batch; s++ {
-		d.grids[s] = make(map[int]grid)
+		grids := make([]grid, g.NumLayers())
+		for i := range grids {
+			grids[i].base = elided
+		}
+		d.grids[s] = grids
 		for _, lid := range g.Topo() {
-			l := g.Layer(lid)
-			if l.Kind == graph.OpConcat {
-				continue // elided: pure channel addressing
-			}
-			part, ok := spec[lid]
-			if !ok {
-				part = WholeLayer(l)
-			}
-			if err := part.Validate(l); err != nil {
-				return nil, err
-			}
-			if err := d.addLayerAtoms(s, l, part); err != nil {
-				return nil, err
+			if l := g.Layer(lid); l.Kind != graph.OpConcat {
+				b.addLayerAtoms(s, l, parts[lid])
 			}
 		}
 	}
-	d.consumers = make([][]int, len(d.Atoms))
-	for _, a := range d.Atoms {
-		for _, dep := range a.Deps {
-			d.consumers[dep] = append(d.consumers[dep], a.ID)
-		}
-	}
+	d.consumers = consumersOf(d.Atoms)
 	return d, nil
 }
 
+// consumersOf inverts the dependency edges. Each atom's consumer list is
+// a capacity-capped window of one shared backing array, in atom-ID order.
+func consumersOf(atoms []*Atom) [][]int {
+	count := make([]int, len(atoms))
+	edges := 0
+	for _, a := range atoms {
+		for _, dep := range a.Deps {
+			count[dep]++
+		}
+		edges += len(a.Deps)
+	}
+	flat := make([]int, edges)
+	out := make([][]int, len(atoms))
+	off := 0
+	for id, n := range count {
+		if n > 0 {
+			out[id] = flat[off : off : off+n]
+			off += n
+		}
+	}
+	for _, a := range atoms {
+		for _, dep := range a.Deps {
+			out[dep] = append(out[dep], a.ID)
+		}
+	}
+	return out
+}
+
+// builder holds the reusable scratch of one Build. Atoms come from one
+// slab; each atom's Deps/DepBytes are capacity-capped windows carved from
+// chunked arenas, so appending to one atom's deps can never overwrite a
+// neighbour's. pos/stamp are an epoch-stamped dense map from producer
+// atom ID to its slot in the atom under construction: bumping epoch
+// clears it in O(1).
+type builder struct {
+	d    *DAG
+	slab []Atom
+
+	pos   []int32
+	stamp []uint32
+	epoch uint32
+
+	deps  []int       // scratch: current atom's producers, in first-seen order
+	bytes []int64     // scratch: overlap volume per entry of deps
+	refs  []regionRef // scratch: current atom's back-projected input regions
+
+	depArena  []int
+	byteArena []int64
+}
+
+// arenaChunk caps the entry count of one dependency-arena chunk; small
+// DAGs get chunks of arenaPerAtom entries per atom instead.
+const (
+	arenaChunk   = 1 << 14
+	arenaPerAtom = 8
+)
+
 // addLayerAtoms tiles one (layer, sample) and wires dependency edges.
-func (d *DAG) addLayerAtoms(sample int, l *graph.Layer, part Partition) error {
+func (b *builder) addLayerAtoms(sample int, l *graph.Layer, part Partition) {
+	d := b.d
 	s := l.Shape
 	nH, nW, nC := ceilDiv(s.Ho, part.Hp), ceilDiv(s.Wo, part.Wp), ceilDiv(s.Co, part.Cop)
 	d.grids[sample][l.ID] = grid{part: part, nH: nH, nW: nW, nC: nC, base: len(d.Atoms)}
@@ -214,21 +297,22 @@ func (d *DAG) addLayerAtoms(sample int, l *graph.Layer, part Partition) error {
 					W0: iw * part.Wp, W1: min((iw+1)*part.Wp, s.Wo),
 					C0: ic * part.Cop, C1: min((ic+1)*part.Cop, s.Co),
 				}
-				a := &Atom{
-					ID:     len(d.Atoms),
+				id := len(d.Atoms)
+				a := &b.slab[id]
+				*a = Atom{
+					ID:     id,
 					Layer:  l.ID,
 					Sample: sample,
 					Index:  idx,
 					Region: r,
 					Task:   taskFor(l, r),
 				}
-				a.Deps, a.DepBytes = d.depsFor(sample, l, r)
+				a.Deps, a.DepBytes = b.depsFor(sample, l, r)
 				d.Atoms = append(d.Atoms, a)
 				idx++
 			}
 		}
 	}
-	return nil
 }
 
 // taskFor builds the engine.Task pricing an atom covering region r of l.
@@ -248,29 +332,36 @@ func taskFor(l *graph.Layer, r Region) engine.Task {
 
 // depsFor resolves the producer atoms whose outputs overlap the input
 // receptive field of region r of layer l in the given sample, together
-// with the per-edge overlap volume in bytes.
-func (d *DAG) depsFor(sample int, l *graph.Layer, r Region) ([]int, []int64) {
-	var deps []int
-	var bytes []int64
-	pos := make(map[int]int)
-	for _, ref := range inputRegions(d.Graph, l, r) {
-		d.collectOverlaps(sample, ref, func(id int, overlap int64) {
-			if i, ok := pos[id]; ok {
-				bytes[i] += overlap
-			} else {
-				pos[id] = len(deps)
-				deps = append(deps, id)
-				bytes = append(bytes, overlap)
-			}
-		})
+// with the per-edge overlap volume in bytes. Producers appear in the
+// order they are first reached.
+func (b *builder) depsFor(sample int, l *graph.Layer, r Region) ([]int, []int64) {
+	b.epoch++
+	b.deps, b.bytes = b.deps[:0], b.bytes[:0]
+	b.refs = appendInputRegions(b.refs[:0], b.d.Graph, l, r)
+	for _, ref := range b.refs {
+		b.collectOverlaps(sample, ref)
 	}
 	// Multiple refs can overlap the same producer region (e.g. eltwise
 	// inputs resolving to one atom); cap at the producer's output size.
-	for i, id := range deps {
-		if lim := d.Atoms[id].OutputBytes(); bytes[i] > lim {
-			bytes[i] = lim
+	for i, id := range b.deps {
+		if lim := b.slab[id].OutputBytes(); b.bytes[i] > lim {
+			b.bytes[i] = lim
 		}
 	}
+	n := len(b.deps)
+	if n == 0 {
+		return nil, nil
+	}
+	if n > len(b.depArena) {
+		size := max(n, min(arenaChunk, arenaPerAtom*len(b.slab)))
+		b.depArena = make([]int, size)
+		b.byteArena = make([]int64, size)
+	}
+	deps := b.depArena[:n:n]
+	bytes := b.byteArena[:n:n]
+	b.depArena, b.byteArena = b.depArena[n:], b.byteArena[n:]
+	copy(deps, b.deps)
+	copy(bytes, b.bytes)
 	return deps, bytes
 }
 
@@ -280,14 +371,14 @@ type regionRef struct {
 	region Region
 }
 
-// inputRegions back-projects output region r of layer l onto its producer
-// layers, resolving through concat layers recursively.
-func inputRegions(g *graph.Graph, l *graph.Layer, r Region) []regionRef {
+// appendInputRegions back-projects output region r of layer l onto its
+// producer layers, resolving through concat layers recursively, and
+// appends the resulting refs to dst.
+func appendInputRegions(dst []regionRef, g *graph.Graph, l *graph.Layer, r Region) []regionRef {
 	s := l.Shape
-	var refs []regionRef
 	switch l.Kind {
 	case graph.OpInput:
-		return nil
+		return dst
 	case graph.OpFC, graph.OpGlobalPool:
 		// Consumes the producer's whole tensor. (GlobalPool could in
 		// principle restrict channels, but it is never partitioned —
@@ -295,19 +386,14 @@ func inputRegions(g *graph.Graph, l *graph.Layer, r Region) []regionRef {
 		for _, in := range l.Inputs {
 			p := g.Layer(in).Shape
 			full := Region{H0: 0, H1: p.Ho, W0: 0, W1: p.Wo, C0: 0, C1: p.Co}
-			refs = append(refs, resolve(g, in, full)...)
+			dst = appendResolved(dst, g, in, full)
 		}
-		return refs
-	case graph.OpEltwise:
+		return dst
+	case graph.OpEltwise, graph.OpActivation:
 		for _, in := range l.Inputs {
-			refs = append(refs, resolve(g, in, r)...)
+			dst = appendResolved(dst, g, in, r)
 		}
-		return refs
-	case graph.OpActivation:
-		for _, in := range l.Inputs {
-			refs = append(refs, resolve(g, in, r)...)
-		}
-		return refs
+		return dst
 	}
 	// Conv-like (Conv, DWConv, Pool): spatial receptive field with halo.
 	stride, pad := s.Stride, s.Pad
@@ -325,21 +411,20 @@ func inputRegions(g *graph.Graph, l *graph.Layer, r Region) []regionRef {
 	default:
 		c0, c1 = 0, s.Ci // dense conv consumes all input channels
 	}
-	in := l.Inputs[0]
-	return resolve(g, in, Region{H0: h0, H1: h1, W0: w0, W1: w1, C0: c0, C1: c1})
+	return appendResolved(dst, g, l.Inputs[0], Region{H0: h0, H1: h1, W0: w0, W1: w1, C0: c0, C1: c1})
 }
 
-// resolve maps a required region of layer `lid`'s output through any
-// concat layers down to concrete (non-concat) producer regions.
-func resolve(g *graph.Graph, lid int, r Region) []regionRef {
+// appendResolved maps a required region of layer `lid`'s output through
+// any concat layers down to concrete (non-concat) producer regions and
+// appends them to dst.
+func appendResolved(dst []regionRef, g *graph.Graph, lid int, r Region) []regionRef {
 	l := g.Layer(lid)
 	if l.Kind != graph.OpConcat {
 		if r.empty() {
-			return nil
+			return dst
 		}
-		return []regionRef{{layer: lid, region: r}}
+		return append(dst, regionRef{layer: lid, region: r})
 	}
-	var refs []regionRef
 	off := 0
 	for _, in := range l.Inputs {
 		pc := g.Layer(in).Shape.Co
@@ -347,22 +432,20 @@ func resolve(g *graph.Graph, lid int, r Region) []regionRef {
 		if lo < hi {
 			sub := r
 			sub.C0, sub.C1 = lo-off, hi-off
-			refs = append(refs, resolve(g, in, sub)...)
+			dst = appendResolved(dst, g, in, sub)
 		}
 		off += pc
 	}
-	return refs
+	return dst
 }
 
-// collectOverlaps visits the IDs of producer atoms whose regions overlap
-// ref within the sample, passing the overlap volume in bytes.
-func (d *DAG) collectOverlaps(sample int, ref regionRef, visit func(id int, overlap int64)) {
-	gr, ok := d.grids[sample][ref.layer]
-	if !ok {
-		// Producer was itself elided (concat feeding concat): resolve
-		// another level down. This cannot recurse unboundedly because
-		// resolve() already flattened concat chains; reaching here means
-		// a bug in construction order.
+// collectOverlaps adds the producer atoms whose regions overlap ref within
+// the sample to the current atom's deps, accumulating overlap bytes.
+func (b *builder) collectOverlaps(sample int, ref regionRef) {
+	gr := b.d.grids[sample][ref.layer]
+	if gr.base == elided {
+		// appendResolved flattens concat chains, so reaching an elided
+		// producer means a bug in construction order.
 		panic(fmt.Sprintf("atom: no grid for layer %d sample %d", ref.layer, sample))
 	}
 	r := ref.region
@@ -374,7 +457,15 @@ func (d *DAG) collectOverlaps(sample int, ref regionRef, visit func(id int, over
 		for iw := iw0; iw <= iw1 && iw < gr.nW; iw++ {
 			for ic := ic0; ic <= ic1 && ic < gr.nC; ic++ {
 				id := gr.base + (ih*gr.nW+iw)*gr.nC + ic
-				visit(id, overlapBytes(d.Atoms[id].Region, r))
+				overlap := overlapBytes(b.slab[id].Region, r)
+				if b.stamp[id] == b.epoch {
+					b.bytes[b.pos[id]] += overlap
+					continue
+				}
+				b.stamp[id] = b.epoch
+				b.pos[id] = int32(len(b.deps))
+				b.deps = append(b.deps, id)
+				b.bytes = append(b.bytes, overlap)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Package dash is the serving layer's live-observability store: a
-// bounded in-memory record of what the fleet is doing right now and what
-// it just did, plus the HTTP surface (see http.go) that renders it as an
+// bounded in-memory record of what one server is doing right now and
+// what it just did, plus the HTTP surface (see http.go) that renders it as an
 // embedded web dashboard, JSON snapshots and a server-sent-event stream.
 //
 // Three bounded structures, all guarded by one mutex:
@@ -185,7 +185,7 @@ type subscriber struct {
 	ch chan Event
 }
 
-// Store holds the fleet's live observability state. Safe for concurrent
+// Store holds the server's live observability state. Safe for concurrent
 // use; the zero value is not usable — construct with NewStore.
 type Store struct {
 	cfg Config

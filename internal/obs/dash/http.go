@@ -14,25 +14,25 @@ import (
 //go:embed web
 var webFS embed.FS
 
-// fleetGauges and fleetCounters are the serve_* instruments the
+// serveGauges and serveCounters are the serve_* instruments the
 // dashboard's header tiles read. The dash package renders them but the
 // serving layer owns their names; state.json simply mirrors whichever
 // exist in the registry at snapshot time.
-var fleetGauges = []string{
+var serveGauges = []string{
 	"serve_queue_depth", "serve_queue_capacity",
 	"serve_workers", "serve_workers_busy",
 	"serve_cache_hit_ratio", "serve_uptime_seconds",
 	"surrogate_segments_ready",
 }
 
-var fleetCounters = []string{
+var serveCounters = []string{
 	"serve_requests_total", "serve_solves_total", "serve_solve_errors_total",
 	"serve_cache_hits_total", "serve_cache_misses_total",
 	"serve_dedup_joined_total", "serve_queue_rejected_total",
 }
 
 // stateDoc is the full /debug/dash/state.json body: the live solves plus
-// the fleet tiles' instrument readings.
+// the server tiles' instrument readings.
 type stateDoc struct {
 	State
 	Gauges   map[string]float64 `json:"gauges"`
@@ -42,11 +42,11 @@ type stateDoc struct {
 // Handler mounts the dashboard at /debug/dash:
 //
 //	/debug/dash               the embedded web UI
-//	/debug/dash/state.json    active solves + fleet gauges (poll-friendly)
+//	/debug/dash/state.json    active solves + server gauges (poll-friendly)
 //	/debug/dash/sessions.json recent session history, newest first
 //	/debug/dash/events        server-sent-event stream of the event ring
 //
-// reg supplies the fleet tiles (queue depth, worker occupancy, cache hit
+// reg supplies the server tiles (queue depth, worker occupancy, cache hit
 // ratio); nil is allowed and leaves those tiles empty. Every endpoint is
 // GET-only and sets an explicit charset.
 func Handler(st *Store, reg *obs.Registry) http.Handler {
@@ -62,12 +62,12 @@ func Handler(st *Store, reg *obs.Registry) http.Handler {
 		}
 		if reg != nil {
 			snap := reg.Snapshot()
-			for _, n := range fleetGauges {
+			for _, n := range serveGauges {
 				if v, ok := snap.Gauges[n]; ok {
 					doc.Gauges[n] = v
 				}
 			}
-			for _, n := range fleetCounters {
+			for _, n := range serveCounters {
 				if v, ok := snap.Counters[n]; ok {
 					doc.Counters[n] = v
 				}

@@ -114,7 +114,7 @@ func TestStateJSONMirrorsRegistry(t *testing.T) {
 		t.Fatalf("instruments not mirrored: %+v / %+v", doc.Gauges, doc.Counters)
 	}
 	if _, leaked := doc.Gauges["unrelated_gauge"]; leaked {
-		t.Fatal("state.json leaked a gauge outside the fleet allowlist")
+		t.Fatal("state.json leaked a gauge outside the serve allowlist")
 	}
 }
 

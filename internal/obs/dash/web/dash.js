@@ -1,4 +1,4 @@
-// Fleet dashboard client: polls state.json / sessions.json and follows
+// Serve dashboard client: polls state.json / sessions.json and follows
 // the SSE event stream. Stdlib server, no framework client — fetch,
 // EventSource and hand-rolled SVG sparklines.
 "use strict";
@@ -28,7 +28,7 @@ function esc(s) {
     ({ "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;" }[c]));
 }
 
-// ---- fleet tiles -----------------------------------------------------
+// ---- server tiles -----------------------------------------------------
 
 function renderTiles(doc) {
   const g = doc.gauges || {}, c = doc.counters || {};

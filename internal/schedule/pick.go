@@ -24,37 +24,43 @@ type policy struct {
 	deferRule2   bool // swap the order of rules 2 and 3
 }
 
-// candidateLayer is one (sample, layer) with ready atoms, bucketed by rule.
-type candidateLayer struct {
-	k      int64
-	sample int
-	layer  int
-	rule   int
-	pos    int // topological position, for deterministic ordering
+// A candidate is one (sample, layer) pair with ready atoms, packed as
+// rule<<48 | sample<<24 | pos so that ascending keys follow the
+// (rule, sample, topological position) priority order. pos is unique per
+// layer and (sample, layer) unique per candidate, so the order is total
+// and the unstable sort deterministic; pos maps back to the layer through
+// the graph's topological order.
+const candFieldBits = 24
+
+func candKey(rule, sample, pos int) uint64 {
+	return uint64(rule)<<(2*candFieldBits) | uint64(sample)<<candFieldBits | uint64(pos)
 }
 
-// pickWithPolicy is the shared selection engine. The rule-2 reference set
-// (depths of traversed-but-unfinished layers in the current sample) is
-// read from the incrementally-maintained state.activeDepth counters — the
-// DP lookahead calls this for every option at every recursion level, so
-// rebuilding the set here from the traversed map would put an O(traversed
-// pairs) walk inside the scheduler's innermost loop.
+func (st *state) candPair(k uint64) (rule, pair int) {
+	const mask = 1<<candFieldBits - 1
+	sample, pos := int(k>>candFieldBits&mask), int(k&mask)
+	return int(k >> (2 * candFieldBits)), st.pair(sample, st.topo[pos])
+}
+
+// pickWithPolicy is the shared selection engine. It walks only the live
+// pairs (those with ready atoms), and reads the rule-2 reference set
+// (depths of traversed-but-unfinished layers in the current sample) from
+// the incrementally-maintained state.activeDepth counters — the DP
+// lookahead calls this for every option at every recursion level, so
+// both keep O(every pair ever touched) walks out of the scheduler's
+// innermost loop.
 func (st *state) pickWithPolicy(p policy) []int {
 	n := st.opt.Engines
 	pick := make([]int, 0, n)
 
-	var cands []candidateLayer
-	for k, lst := range st.ready {
-		if len(lst) == 0 {
-			continue
-		}
-		sample := int(k >> 32)
-		layer := int(k & 0xffffffff)
+	cands := st.cands[:0]
+	for _, pr := range st.live {
+		sample, layer := pr/st.numLayers, pr%st.numLayers
 		var rule int
 		switch {
-		case sample == st.curSample && st.traversed[k]:
+		case sample == st.curSample && st.traversed[pr]:
 			rule = 1
-		case sample == st.curSample && st.activeDepth[key(sample, st.g.Layer(layer).Depth)] > 0:
+		case sample == st.curSample && st.activeDepth[sample*st.depthSpan+st.layerDepth[layer]] > 0:
 			rule = 2
 		case sample == st.curSample:
 			rule = 3
@@ -66,35 +72,26 @@ func (st *state) pickWithPolicy(p policy) []int {
 		} else if p.deferRule2 && rule == 3 {
 			rule = 2
 		}
-		cands = append(cands, candidateLayer{
-			k: k, sample: sample, layer: layer, rule: rule, pos: st.layerPos[layer],
-		})
+		cands = append(cands, candKey(rule, sample, st.layerPos[layer]))
 	}
-	// (rule, sample, pos) is a total order — pos is unique per layer and
-	// (sample, layer) is unique per entry — so the unstable sort is
-	// deterministic.
-	slices.SortFunc(cands, func(a, b candidateLayer) int {
-		if a.rule != b.rule {
-			return a.rule - b.rule
-		}
-		if a.sample != b.sample {
-			return a.sample - b.sample
-		}
-		return a.pos - b.pos
-	})
+	st.cands = cands
+	slices.Sort(cands)
 
-	for _, c := range cands {
+	for _, k := range cands {
 		if len(pick) >= n {
 			break
 		}
-		if p.onlyRule1 && c.rule > 1 && len(pick) > 0 {
+		rule, pr := st.candPair(k)
+		if p.onlyRule1 && rule > 1 && len(pick) > 0 {
 			break
 		}
-		if p.stayInSample && c.rule == 4 {
+		if p.stayInSample && rule == 4 {
 			break
 		}
-		lst := append([]int(nil), st.ready[c.k]...)
+		// Ready lists are kept sorted by ID, the default order.
+		lst := st.ready[pr].ids()
 		if p.longestFirst {
+			lst = append(st.byCost[:0], lst...)
 			slices.SortFunc(lst, func(i, j int) int {
 				ci, cj := st.cycles[i], st.cycles[j]
 				if ci != cj {
@@ -105,15 +102,9 @@ func (st *state) pickWithPolicy(p policy) []int {
 				}
 				return i - j
 			})
-		} else {
-			slices.Sort(lst)
+			st.byCost = lst
 		}
-		for _, id := range lst {
-			if len(pick) >= n {
-				break
-			}
-			pick = append(pick, id)
-		}
+		pick = append(pick, lst[:min(len(lst), n-len(pick))]...)
 	}
 	return pick
 }
@@ -136,18 +127,21 @@ func (st *state) dpPick() []int {
 	return options[bestIdx]
 }
 
-// options generates the pruned combination set for the current Round.
+// policies are the option generators of one Round, in priority order.
+var policies = []policy{
+	{},                   // pure priority rules
+	{longestFirst: true}, // better Round packing of unequal atoms
+	{stayInSample: true}, // lower latency for the current sample
+	{onlyRule1: true},    // drain in-flight layers before widening
+	{deferRule2: true},   // dependent layers before siblings
+}
+
+// options generates the pruned combination set for the current Round,
+// dropping combinations that select the same atom set as an earlier one.
 func (st *state) options() [][]int {
-	policies := []policy{
-		{},                   // pure priority rules
-		{longestFirst: true}, // better Round packing of unequal atoms
-		{stayInSample: true}, // lower latency for the current sample
-		{onlyRule1: true},    // drain in-flight layers before widening
-		{deferRule2: true},   // dependent layers before siblings
-	}
 	maxOpts := st.opt.maxOptions()
 	var out [][]int
-	seen := make(map[string]bool)
+	sorted := st.sorted[:0] // sorted copies of out's combinations, back to back
 	for _, p := range policies {
 		if len(out) >= maxOpts {
 			break
@@ -156,25 +150,26 @@ func (st *state) options() [][]int {
 		if len(comb) == 0 {
 			continue
 		}
-		sorted := append([]int(nil), comb...)
-		slices.Sort(sorted)
-		s := sig(sorted)
-		if seen[s] {
+		start := len(sorted)
+		sorted = append(sorted, comb...)
+		cur := sorted[start:]
+		slices.Sort(cur)
+		dup, off := false, 0
+		for _, o := range out {
+			if slices.Equal(sorted[off:off+len(o)], cur) {
+				dup = true
+				break
+			}
+			off += len(o)
+		}
+		if dup {
+			sorted = sorted[:start]
 			continue
 		}
-		seen[s] = true
 		out = append(out, comb)
 	}
+	st.sorted = sorted
 	return out
-}
-
-// sig encodes a sorted int slice as a compact map key.
-func sig(ids []int) string {
-	b := make([]byte, 0, len(ids)*4)
-	for _, id := range ids {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
 }
 
 // combCost prices one Round: the engines synchronize on the slowest atom.

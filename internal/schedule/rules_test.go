@@ -154,26 +154,60 @@ func TestFromRoundsAcceptsValid(t *testing.T) {
 }
 
 // rebuildActiveDepth recomputes the rule-2 counters from first principles.
-func (st *state) rebuildActiveDepth() map[int64]int {
-	out := make(map[int64]int)
-	for k, done := range st.traversed {
-		if done && st.pending[k] > 0 {
-			out[key(int(k>>32), st.g.Layer(int(k&0xffffffff)).Depth)]++
+func (st *state) rebuildActiveDepth() []int {
+	out := make([]int, len(st.activeDepth))
+	for p, done := range st.traversed {
+		if done && st.pending[p] > 0 {
+			sample, layer := p/st.numLayers, p%st.numLayers
+			out[sample*st.depthSpan+st.g.Layer(layer).Depth]++
 		}
 	}
 	return out
+}
+
+// checkFrontier asserts the ready-list invariants pickWithPolicy relies
+// on: every ready list is strictly ascending, live holds exactly the pairs
+// with non-empty ready lists, and readyCount is the sum of list lengths.
+func (st *state) checkFrontier(t *testing.T, label string) {
+	t.Helper()
+	total := 0
+	for p := range st.ready {
+		lst := st.ready[p].ids()
+		for i := 1; i < len(lst); i++ {
+			if lst[i-1] >= lst[i] {
+				t.Fatalf("%s: ready list of pair %d not strictly ascending: %v", label, p, lst)
+			}
+		}
+		total += len(lst)
+		if live := st.liveIdx[p] >= 0; live != (len(lst) > 0) {
+			t.Fatalf("%s: pair %d live=%v with %d ready atoms", label, p, live, len(lst))
+		}
+	}
+	if total != st.readyCount {
+		t.Fatalf("%s: readyCount = %d, lists hold %d", label, st.readyCount, total)
+	}
+	seen := make(map[int]bool, len(st.live))
+	for slot, p := range st.live {
+		if seen[p] || st.liveIdx[p] != slot || st.ready[p].len() == 0 {
+			t.Fatalf("%s: live[%d] = pair %d (dup=%v, liveIdx=%d, ready=%d)",
+				label, slot, p, seen[p], st.liveIdx[p], st.ready[p].len())
+		}
+		seen[p] = true
+	}
 }
 
 func TestActiveDepthIncremental(t *testing.T) {
 	// Property: after any interleaving of apply/rollback — here a full DP
 	// build, whose lookahead nests them several levels deep — the
 	// incrementally-maintained activeDepth counters must equal a
-	// from-scratch rebuild at every Round boundary.
+	// from-scratch rebuild, and the ready lists and live set must stay
+	// consistent, at every Round boundary.
 	for _, model := range []string{"tinyresnet", "tinybranch", "pnascell"} {
 		d := dagFor(t, model, 2)
 		opt := Options{Engines: 3, Mode: DP, Lookahead: 3, MaxOptions: 5,
 			EngineCfg: engine.Default(), Dataflow: engine.KCPartition}
 		st := newState(d, opt)
+		st.checkFrontier(t, model+" initial")
 		for st.remaining > 0 {
 			comb := st.dpPick()
 			if len(comb) == 0 {
@@ -186,11 +220,10 @@ func TestActiveDepthIncremental(t *testing.T) {
 					t.Fatalf("%s: activeDepth[%d] = %d, rebuild says %d", model, k, v, want[k])
 				}
 			}
-			for k, v := range want {
-				if st.activeDepth[k] != v {
-					t.Fatalf("%s: activeDepth missing %d (want %d)", model, k, v)
-				}
-			}
+			st.checkFrontier(t, model)
+		}
+		if len(st.live) != 0 || st.readyCount != 0 {
+			t.Fatalf("%s: finished with %d live pairs, %d ready atoms", model, len(st.live), st.readyCount)
 		}
 	}
 }

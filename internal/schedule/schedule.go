@@ -142,11 +142,13 @@ func Build(d *atom.DAG, opt Options) (*Schedule, error) {
 		}
 		sched.Rounds = append(sched.Rounds, Round{Atoms: comb})
 		st.apply(comb)
+		st.undoLog = st.undoLog[:0] // a chosen Round is never rolled back
 	}
 	return sched, nil
 }
 
-// state is the mutable scheduling frontier.
+// state is the mutable scheduling frontier. Per-(sample, layer) state is
+// indexed densely by pair = sample*L + layer, L the graph's layer count.
 type state struct {
 	d   *atom.DAG
 	g   *graph.Graph
@@ -157,54 +159,71 @@ type state struct {
 	scheduled []bool
 	remaining int
 
-	// ready atoms grouped per (sample, layer); layerOrder maps layer ID to
-	// its topological position for deterministic ordering.
-	ready      map[int64][]int // key = sample<<32 | layer
+	numLayers  int
+	topo       []int // topological position -> layer ID
+	layerPos   []int // layer ID -> topological position, for deterministic ordering
+	layerDepth []int // layer ID -> graph depth
+
+	// ready holds each pair's ready atoms sorted by ascending ID; live
+	// lists the pairs whose ready list is non-empty (in no particular
+	// order), liveIdx[pair] being the pair's slot in live or -1.
+	ready      []readyList
+	live       []int
+	liveIdx    []int
 	readyCount int
-	layerPos   []int
 
-	// traversed marks (sample, layer) pairs with at least one scheduled
-	// atom; pending counts unscheduled atoms per (sample, layer).
-	traversed map[int64]bool
-	pending   map[int64]int
+	// traversed marks pairs with at least one scheduled atom; pending
+	// counts unscheduled atoms per pair.
+	traversed []bool
+	pending   []int
 
-	// activeDepth counts, per key(sample, depth), the traversed-but-
-	// unfinished (sample, layer) pairs at that depth — the rule-2
-	// reference set, maintained incrementally by apply/rollback so
-	// pickWithPolicy (called ~MaxOptions·Lookahead times per Round by the
-	// DP) reads it in O(1) instead of walking every traversed pair.
-	activeDepth map[int64]int
+	// activeDepth counts, per sample*depthSpan + depth, the traversed-
+	// but-unfinished pairs at that depth — the rule-2 reference set,
+	// maintained incrementally by apply/rollback so pickWithPolicy (called
+	// ~MaxOptions·Lookahead times per Round by the DP) reads it in O(1)
+	// instead of walking every traversed pair.
+	activeDepth []int
+	depthSpan   int
 
 	curSample   int
 	samplesLeft []int // unscheduled atom count per sample
 
 	totalWork int64 // Σ cycles of unscheduled atoms
-	undoLog   []undo
+
+	// undoLog is a stack of apply records; entries past its length keep
+	// their slices' capacity for reuse by later applies.
+	undoLog []undo
+
+	// Reused scratch of pickWithPolicy and options.
+	cands  []uint64 // candidate keys, see candKey
+	byCost []int
+	sorted []int
 }
 
 type undo struct {
-	comb        []int
-	readyAdded  []int // atom IDs that became ready during this apply
-	newTravKeys []int64
-	prevSample  int
-	workDelta   int64
+	comb       []int
+	readyAdded []int // atom IDs that became ready during this apply
+	newTrav    []int // pairs first traversed during this apply
+	prevSample int
+	workDelta  int64
 }
 
-func key(sample, layer int) int64 { return int64(sample)<<32 | int64(layer) }
+func (st *state) pair(sample, layer int) int { return sample*st.numLayers + layer }
 
-// pairActive reports whether a (sample, layer) pair belongs to the rule-2
-// reference set: traversed with unscheduled atoms left.
-func (st *state) pairActive(k int64) bool {
-	return st.traversed[k] && st.pending[k] > 0
+// pairActive reports whether a pair belongs to the rule-2 reference set:
+// traversed with unscheduled atoms left.
+func (st *state) pairActive(p int) bool {
+	return st.traversed[p] && st.pending[p] > 0
 }
 
 // adjustActive reconciles the activeDepth counter after a pair's
 // (traversed, pending) transition observed as was → is.
-func (st *state) adjustActive(k int64, was, is bool) {
+func (st *state) adjustActive(p int, was, is bool) {
 	if was == is {
 		return
 	}
-	dk := key(int(k>>32), st.g.Layer(int(k&0xffffffff)).Depth)
+	sample, layer := p/st.numLayers, p%st.numLayers
+	dk := sample*st.depthSpan + st.layerDepth[layer]
 	if is {
 		st.activeDepth[dk]++
 	} else {
@@ -213,21 +232,35 @@ func (st *state) adjustActive(k int64, was, is bool) {
 }
 
 func newState(d *atom.DAG, opt Options) *state {
+	g := d.Graph
+	nl := g.NumLayers()
+	pairs := d.Batch * nl
 	st := &state{
-		d:           d,
-		g:           d.Graph,
-		opt:         opt,
-		cycles:      make([]int64, d.NumAtoms()),
-		indeg:       make([]int, d.NumAtoms()),
-		scheduled:   make([]bool, d.NumAtoms()),
-		ready:       make(map[int64][]int),
-		traversed:   make(map[int64]bool),
-		pending:     make(map[int64]int),
-		activeDepth: make(map[int64]int),
-		layerPos:    make([]int, d.Graph.NumLayers()),
+		d:          d,
+		g:          g,
+		opt:        opt,
+		cycles:     make([]int64, d.NumAtoms()),
+		indeg:      make([]int, d.NumAtoms()),
+		scheduled:  make([]bool, d.NumAtoms()),
+		numLayers:  nl,
+		layerPos:   make([]int, nl),
+		layerDepth: make([]int, nl),
+		ready:      make([]readyList, pairs),
+		liveIdx:    make([]int, pairs),
+		traversed:  make([]bool, pairs),
+		pending:    make([]int, pairs),
 	}
-	for i, lid := range d.Graph.Topo() {
+	st.topo = g.Topo()
+	for i, lid := range st.topo {
 		st.layerPos[lid] = i
+	}
+	for lid, l := range g.Layers {
+		st.layerDepth[lid] = l.Depth
+		st.depthSpan = max(st.depthSpan, l.Depth+1)
+	}
+	st.activeDepth = make([]int, d.Batch*st.depthSpan)
+	for i := range st.liveIdx {
+		st.liveIdx[i] = -1
 	}
 	st.samplesLeft = make([]int, d.Batch)
 	orc := cost.Or(opt.Oracle)
@@ -247,7 +280,7 @@ func newState(d *atom.DAG, opt Options) *state {
 		}
 		st.remaining++
 		st.samplesLeft[a.Sample]++
-		st.pending[key(a.Sample, a.Layer)]++
+		st.pending[st.pair(a.Sample, a.Layer)]++
 		st.totalWork += st.cycles[a.ID]
 	}
 	for _, a := range d.Atoms {
@@ -268,42 +301,66 @@ func newState(d *atom.DAG, opt Options) *state {
 	return st
 }
 
+// pushReady inserts id into its pair's ready list, keeping it sorted.
 func (st *state) pushReady(id int) {
 	a := st.d.Atoms[id]
-	k := key(a.Sample, a.Layer)
-	st.ready[k] = append(st.ready[k], id)
+	p := st.pair(a.Sample, a.Layer)
+	st.ready[p].insert(id)
 	st.readyCount++
+	if st.liveIdx[p] < 0 {
+		st.liveIdx[p] = len(st.live)
+		st.live = append(st.live, p)
+	}
+}
+
+// popReady removes id from its pair's ready list.
+func (st *state) popReady(id int) {
+	a := st.d.Atoms[id]
+	p := st.pair(a.Sample, a.Layer)
+	if !st.ready[p].remove(id) {
+		return
+	}
+	st.readyCount--
+	if st.ready[p].len() == 0 {
+		// Swap-remove from live; pickWithPolicy sorts its candidates, so
+		// live's order never reaches a decision.
+		slot, last := st.liveIdx[p], st.live[len(st.live)-1]
+		st.live[slot] = last
+		st.liveIdx[last] = slot
+		st.live = st.live[:len(st.live)-1]
+		st.liveIdx[p] = -1
+	}
 }
 
 // apply schedules a combination, updating the frontier, and records an
-// undo entry for lookahead rollback.
+// undo entry for lookahead rollback. comb must stay unmodified until the
+// matching rollback.
 func (st *state) apply(comb []int) {
-	u := undo{comb: append([]int(nil), comb...), prevSample: st.curSample}
+	n := len(st.undoLog)
+	if n < cap(st.undoLog) {
+		st.undoLog = st.undoLog[:n+1]
+	} else {
+		st.undoLog = append(st.undoLog, undo{})
+	}
+	u := &st.undoLog[n]
+	u.comb, u.prevSample, u.workDelta = comb, st.curSample, 0
+	u.readyAdded, u.newTrav = u.readyAdded[:0], u.newTrav[:0]
 	for _, id := range comb {
 		a := st.d.Atoms[id]
-		k := key(a.Sample, a.Layer)
-		wasActive := st.pairActive(k)
+		p := st.pair(a.Sample, a.Layer)
+		wasActive := st.pairActive(p)
 		st.scheduled[id] = true
 		st.remaining--
 		st.samplesLeft[a.Sample]--
-		st.pending[k]--
+		st.pending[p]--
 		st.totalWork -= st.cycles[id]
 		u.workDelta += st.cycles[id]
-		// Remove from its ready list (atoms are taken front-first, but a
-		// lookahead branch may take from the middle; scan).
-		lst := st.ready[k]
-		for i, v := range lst {
-			if v == id {
-				st.ready[k] = append(lst[:i], lst[i+1:]...)
-				st.readyCount--
-				break
-			}
+		st.popReady(id)
+		if !st.traversed[p] {
+			st.traversed[p] = true
+			u.newTrav = append(u.newTrav, p)
 		}
-		if !st.traversed[k] {
-			st.traversed[k] = true
-			u.newTravKeys = append(u.newTravKeys, k)
-		}
-		st.adjustActive(k, wasActive, st.pairActive(k))
+		st.adjustActive(p, wasActive, st.pairActive(p))
 		for _, c := range st.d.Consumers(id) {
 			st.indeg[c]--
 			if st.indeg[c] == 0 && !st.scheduled[c] {
@@ -315,47 +372,36 @@ func (st *state) apply(comb []int) {
 	for st.curSample < st.d.Batch && st.samplesLeft[st.curSample] == 0 {
 		st.curSample++
 	}
-	st.undoLog = append(st.undoLog, u)
 }
 
 // rollback undoes the most recent apply.
 func (st *state) rollback() {
-	u := st.undoLog[len(st.undoLog)-1]
+	u := &st.undoLog[len(st.undoLog)-1]
 	st.undoLog = st.undoLog[:len(st.undoLog)-1]
-	// Remove the specific atoms that became ready during the apply.
-	// Nested apply/rollback pairs may have reordered the lists, so
-	// removal is by ID, not position.
 	for i := len(u.readyAdded) - 1; i >= 0; i-- {
-		id := u.readyAdded[i]
-		a := st.d.Atoms[id]
-		k := key(a.Sample, a.Layer)
-		lst := st.ready[k]
-		for j, v := range lst {
-			if v == id {
-				st.ready[k] = append(lst[:j], lst[j+1:]...)
-				st.readyCount--
-				break
-			}
-		}
+		st.popReady(u.readyAdded[i])
 	}
-	for _, id := range u.comb {
+	// Reverse order returns each pair's atoms to the front of its ready
+	// list one by one, the O(1) path of readyList.insert.
+	for i := len(u.comb) - 1; i >= 0; i-- {
+		id := u.comb[i]
 		a := st.d.Atoms[id]
-		k := key(a.Sample, a.Layer)
-		wasActive := st.pairActive(k)
+		p := st.pair(a.Sample, a.Layer)
+		wasActive := st.pairActive(p)
 		st.scheduled[id] = false
 		st.remaining++
 		st.samplesLeft[a.Sample]++
-		st.pending[k]++
-		st.adjustActive(k, wasActive, st.pairActive(k))
+		st.pending[p]++
+		st.adjustActive(p, wasActive, st.pairActive(p))
 		for _, c := range st.d.Consumers(id) {
 			st.indeg[c]++
 		}
 		st.pushReady(id)
 	}
-	for _, k := range u.newTravKeys {
-		wasActive := st.pairActive(k)
-		delete(st.traversed, k)
-		st.adjustActive(k, wasActive, false)
+	for _, p := range u.newTrav {
+		wasActive := st.pairActive(p)
+		st.traversed[p] = false
+		st.adjustActive(p, wasActive, false)
 	}
 	st.totalWork += u.workDelta
 	st.curSample = u.prevSample

@@ -23,8 +23,8 @@ const StatusClientClosedRequest = 499
 //	GET  /healthz   liveness + queue/worker/cache occupancy
 //	GET  /metrics   Prometheus text exposition of the serving metrics
 //	GET  /metrics.json  JSON snapshot of the same registry
-//	GET  /debug/dash    the live fleet dashboard (embedded web UI)
-//	GET  /debug/dash/state.json     active solves + fleet gauges
+//	GET  /debug/dash    the live serve dashboard (embedded web UI)
+//	GET  /debug/dash/state.json     active solves + server gauges
 //	GET  /debug/dash/sessions.json  recent session history
 //	GET  /debug/dash/events         server-sent-event stream
 //	     /debug/pprof/  the standard Go profiling endpoints

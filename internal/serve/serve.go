@@ -260,7 +260,7 @@ func New(cfg Config) *Server {
 	}
 	s.m.queueCap.SetInt(int64(cfg.queueDepth()))
 	s.m.workers.SetInt(int64(cfg.workers()))
-	// Fleet identity: a constant-1 build_info gauge carrying the binary's
+	// Deploy identity: a constant-1 build_info gauge carrying the binary's
 	// version labels (Prometheus convention), so dashboards and scrapes
 	// can tell one deploy from another.
 	reg.Gauge(buildInfoName()).Set(1)
@@ -506,7 +506,7 @@ func (s *Server) runJob(jb *job) (*solveResult, error) {
 	start := time.Now()
 	sol, err := atomicflow.Orchestrate(req.graph, opt)
 	s.publishOracleGauges()
-	// The learned oracle's trust gate is fleet state, not request state:
+	// The learned oracle's trust gate is server state, not request state:
 	// surface every readiness flip as an event so operators can correlate
 	// solve-behavior changes with the model coming (or falling) online.
 	if ready1 := s.surr.Stats().SegmentsReady; ready1 != ready0 {
