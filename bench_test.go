@@ -628,7 +628,7 @@ func BenchmarkSimRunPipelined(b *testing.B) {
 // stageSpec runs the default-profile SA search (seed 1, 600 iterations,
 // 1024 tiles per layer) on a model outside any timer and returns the
 // graph, the found partition spec and the warmed oracle, so the stage
-// benchmarks below measure atom.Build and schedule.Build alone.
+// benchmarks below measure atom.Build, schedule.Build and sim.Run alone.
 func stageSpec(b *testing.B, model string) (*graph.Graph, atom.Spec, cost.Oracle) {
 	b.Helper()
 	g, err := LoadModel(model)
@@ -695,6 +695,37 @@ func BenchmarkScheduleBuild(b *testing.B) {
 				benchSchedSink = s
 			}
 			b.ReportMetric(float64(benchSchedSink.NumRounds()), "rounds")
+		})
+	}
+}
+
+// BenchmarkSimStage measures sim.Run (stage 4 of a cold solve) over the
+// default-profile DAG and DP schedule, both built outside the timer, with
+// atoms priced through the oracle the search warmed, as Orchestrate does.
+func BenchmarkSimStage(b *testing.B) {
+	for _, model := range stageModels {
+		b.Run(model, func(b *testing.B) {
+			g, spec, orc := stageSpec(b, model)
+			d, err := atom.Build(g, 1, spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hw := DefaultHardware()
+			hw.Oracle = orc
+			s, err := schedule.Build(d, schedule.Options{
+				Engines: hw.Mesh.Engines(), EngineCfg: hw.Engine, Dataflow: hw.Dataflow, Oracle: orc,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Run(d, s, hw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(s.NumRounds()), "rounds")
 		})
 	}
 }

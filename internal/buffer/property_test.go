@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -12,8 +13,9 @@ import (
 )
 
 // TestCapacityInvariantProperty replays random configurations and checks
-// the core safety property of Algorithm 3: no engine's resident bytes
-// ever exceed its capacity, across every Round.
+// the core safety property of Algorithm 3 — no engine's resident bytes
+// ever exceed its capacity — plus exact occupancy accounting after every
+// Round (see checkResidency).
 func TestCapacityInvariantProperty(t *testing.T) {
 	g := models.MustBuild("tinyresnet")
 	res := anneal.SA(g, engine.Default(), engine.KCPartition, anneal.Options{MaxIters: 60})
@@ -45,12 +47,68 @@ func TestCapacityInvariantProperty(t *testing.T) {
 					return false
 				}
 			}
+			if err := checkResidency(m); err != nil {
+				t.Logf("capacity %d, round %d: %v", capacity, rt, err)
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkResidency verifies the Manager's bookkeeping: Used(e) is the sum
+// of engine e's resident entries, every atom Locate reports on-chip is
+// buffered on that engine, and the weight holder sets match the
+// per-engine weight lists.
+func checkResidency(m *Manager) error {
+	entries, bitsSet := 0, 0
+	for e := 0; e < m.engines; e++ {
+		entries += len(m.wts[e])
+		var sum int64
+		for _, o := range m.outs[e] {
+			sum += o.bytes
+			if m.resident[o.atom] != e {
+				return fmt.Errorf("atom %d buffered on engine %d but Locate = %d", o.atom, e, m.resident[o.atom])
+			}
+		}
+		for _, w := range m.wts[e] {
+			sum += w.bytes
+			if !m.holds(int(w.slice), e) {
+				return fmt.Errorf("slice %d buffered on engine %d but not in its holder set", w.slice, e)
+			}
+		}
+		if sum != m.Used(e) {
+			return fmt.Errorf("engine %d: Used = %d, resident entries sum to %d", e, m.Used(e), sum)
+		}
+	}
+	for id := range m.resident {
+		e := m.Locate(id)
+		if e < 0 {
+			continue
+		}
+		if p := int(m.outPos[id]); p >= len(m.outs[e]) || int(m.outs[e][p].atom) != id {
+			return fmt.Errorf("Locate(%d) = %d but engine %d does not buffer it", id, e, e)
+		}
+	}
+	for w, n := range m.nholders {
+		held := 0
+		for e := 0; e < m.engines; e++ {
+			if m.holds(w, e) {
+				held++
+			}
+		}
+		if held != int(n) {
+			return fmt.Errorf("slice %d: %d holder bits, count says %d", w, held, n)
+		}
+		bitsSet += held
+	}
+	if bitsSet != entries {
+		return fmt.Errorf("%d holder bits for %d buffered weight slices", bitsSet, entries)
+	}
+	return nil
 }
 
 // TestConservationProperty: for any capacity, the bytes a consumer reads

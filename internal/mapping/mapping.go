@@ -59,6 +59,8 @@ type Mapper struct {
 	slotOf    []int32 // engine index -> zig-zag slot (current Round)
 	minFrom   []int64 // group x base suffix minima (branch-and-bound bound)
 	ctSlots   int     // slot count of the current table
+	srcBytes  []int64 // engine -> one atom's on-chip dependency bytes from it
+	srcList   []int32 // engines with non-zero srcBytes
 
 	// Weight-refinement scratch (see refineForWeights).
 	refEng  []int
@@ -463,6 +465,7 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 	atomRows := growInt64s(&m.atomRows, slots*slots)
 	rowOf := growInt32s(&m.rowOf, m.dag.NumAtoms())
 	slotOf := growInt32s(&m.slotOf, ne)
+	growInt64s(&m.srcBytes, ne) // all zero between atoms
 	for s := 0; s < slots; s++ {
 		slotOf[m.zigzag[s]] = int32(s)
 	}
@@ -481,16 +484,20 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 			for s := range row {
 				row[s] = 0
 			}
+			// Sum the on-chip dependency bytes per source engine first, so
+			// the per-slot loop runs once per source instead of once per
+			// dependency (atoms often read several tiles held by one
+			// engine). Integer sums, so the row is exactly the
+			// per-dependency sum. The loop around locate only records
+			// bytes, which keeps Rounds whose dependencies are all
+			// off-chip as cheap as a plain per-dependency loop.
 			for di, dep := range a.Deps {
-				src := locate(dep)
-				if src < 0 {
-					continue
+				if src := locate(dep); src >= 0 {
+					m.addSrcBytes(src, a.DepBytes[di])
 				}
-				bytes := a.DepBytes[di]
-				zh := m.zigHops[src*ne : src*ne+slots]
-				for s, h := range zh {
-					row[s] += bytes * h
-				}
+			}
+			if len(m.srcList) > 0 {
+				m.addSrcCosts(row)
 			}
 			// A group at base b puts its k-th atom on slot b+k.
 			for b := 0; b+len(g.atoms) <= slots; b++ {
@@ -498,6 +505,30 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 			}
 		}
 	}
+}
+
+// addSrcBytes records bytes of one on-chip dependency held by engine src.
+func (m *Mapper) addSrcBytes(src int, bytes int64) {
+	if m.srcBytes[src] == 0 {
+		m.srcList = append(m.srcList, int32(src))
+	}
+	m.srcBytes[src] += bytes
+}
+
+// addSrcCosts adds the hop cost of every recorded source engine's bytes
+// to an atom's per-slot row and clears the record.
+func (m *Mapper) addSrcCosts(row []int64) {
+	ne := m.mesh.Engines()
+	for _, src := range m.srcList {
+		bytes := m.srcBytes[src]
+		m.srcBytes[src] = 0
+		zh := m.zigHops[int(src)*ne : int(src)*ne+len(row)]
+		row := row[:len(zh)] // drops the bounds check below
+		for s, h := range zh {
+			row[s] += bytes * h
+		}
+	}
+	m.srcList = m.srcList[:0]
 }
 
 // permCost prices one layer permutation from the cost table built by

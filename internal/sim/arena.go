@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"slices"
 
 	"github.com/atomic-dataflow/atomicflow/internal/buffer"
@@ -59,11 +60,9 @@ type arena struct {
 }
 
 // keyedFlow is one entry of the deterministic link-claim order: the
-// flow's index plus its precomputed sort key. okey encodes (|key|, key)
-// in one word — |key|<<1 with the low bit set for positive keys — so the
-// sort comparator is three integer compares instead of recomputing
-// absolute values per comparison. The element is 24 bytes (vs 40 for a
-// key + embedded Flow), which also cuts swap traffic during the sort.
+// flow's index plus its group key. okey encodes (|key|, key) in one word
+// — |key|<<1 with the low bit set for positive keys — so walkFlows finds
+// group boundaries with two integer compares.
 type keyedFlow struct {
 	okey     uint64
 	src, dst int32
@@ -123,94 +122,187 @@ func (a *arena) getNoCReady(e int) (int64, bool) {
 	return a.ready[e], a.readyStamp[e] == a.roundStamp
 }
 
-// flowSorter holds the reusable scratch of sortFlows: the keyed order,
-// an unsorted staging buffer and the per-source bucket offsets of the
-// counting pass.
+// flowSorter builds the deterministic link-claim order of a Round's
+// flows without comparison-sorting them. A Round carries thousands of
+// flows but only tens to hundreds of multicast groups, so:
+//
+//  1. each flow finds its (Src, GroupKey) group through a key table —
+//     dense and indexed by Tag for ifmap tags (atom ID + 1), a small
+//     open-addressing hash for weight tags and unicast keys — whose
+//     slots chain the groups sharing a key from different sources;
+//  2. only the groups are sorted, by (Src, |key|, key);
+//  3. two stable counting passes order the flows by Dst, then by group.
+//
+// The result is exactly the (Src, |key|, key, Dst) order the map-based
+// reference path iterates in. All tables are epoch-stamped, so a sort
+// clears nothing and, once the tables reach their high-water sizes,
+// allocates nothing. The order is a pure function of the flow list, so
+// the pipeline runs this in the prep stage.
 type flowSorter struct {
-	kf  []keyedFlow
-	tmp []keyedFlow
-	off []int32
+	epoch uint32
+
+	// Dense key table: tagHead[tag] is the newest group keyed tag when
+	// tagStamp[tag] == epoch.
+	tagStamp []uint32
+	tagHead  []int32
+
+	// Hash key table for every other key, sized a power of two of at
+	// least twice the Round's flow count.
+	hashKey   []int64
+	hashStamp []uint32
+	hashHead  []int32
+
+	groups []flowGroup
+	gid    []int32 // flow index -> group
+	order  []int32 // groups by (Src, |key|, key)
+	dcnt   []int32 // per-Dst counting-sort offsets
+	byDst  []int32 // flow indices in (Dst, emission) order
 }
 
-// cmpKeyed orders two same-source keyed flows: ascending (|key|, key)
-// via the okey encoding, then Dst.
-func cmpKeyed(x, y keyedFlow) int {
-	if x.okey != y.okey {
-		if x.okey < y.okey {
-			return -1
-		}
-		return 1
+// flowGroup is one (Src, GroupKey) multicast group of a Round.
+type flowGroup struct {
+	okey uint64
+	src  int32
+	next int32 // next group with the same key (another source), -1 at the end
+	size int32 // flows in the group
+	pos  int32 // next output position of the group's flows
+}
+
+// maxDenseTag bounds the dense key table. Ifmap tags are atom IDs + 1,
+// far below it; larger positive keys (weight tags) use the hash table.
+const maxDenseTag = 1 << 24
+
+// okeyOf encodes a group key as |key|<<1 | (key > 0).
+func okeyOf(k int64) uint64 {
+	if k < 0 {
+		return uint64(-k) << 1
 	}
-	return int(x.dst - y.dst)
+	return uint64(k)<<1 | 1
 }
 
-// sort builds the deterministic link-claim order of a Round's flows:
-// ascending (Src, |key|, key, Dst), exactly the order the map-based
-// reference path iterates in. Sources are engine indices, so flows are
-// first scattered into per-source buckets by one counting pass, and
-// only each bucket is comparison-sorted (by the remaining two-field
-// key) — many small cache-resident sorts instead of one large one. The
-// order is a pure function of the flow list, so the pipeline runs this
-// in the prep stage.
-func (fs *flowSorter) sort(flows []buffer.Flow) []keyedFlow {
-	tmp := fs.tmp[:0]
-	maxSrc := int32(-1)
+// sort appends flows' link-claim order to out[:0] and returns it.
+func (fs *flowSorter) sort(flows []buffer.Flow, out []keyedFlow) []keyedFlow {
+	out = out[:0]
+	n := len(flows)
+	if n == 0 {
+		return out
+	}
+	fs.nextEpoch(n)
+	groups := fs.groups[:0]
+	gid := slices.Grow(fs.gid[:0], n)[:n]
+	maxDst := 0
 	for i, f := range flows {
 		k := f.GroupKey()
-		ok := uint64(k)<<1 | 1
-		if k < 0 {
-			ok = uint64(-k) << 1
-		}
+		head := fs.head(k)
 		src := int32(f.Src)
-		if src > maxSrc {
-			maxSrc = src
+		g := *head
+		for g >= 0 && groups[g].src != src {
+			g = groups[g].next
 		}
-		tmp = append(tmp, keyedFlow{okey: ok, src: src, dst: int32(f.Dst), idx: int32(i)})
+		if g < 0 {
+			g = int32(len(groups))
+			groups = append(groups, flowGroup{okey: okeyOf(k), src: src, next: *head})
+			*head = g
+		}
+		groups[g].size++
+		gid[i] = g
+		maxDst = max(maxDst, f.Dst)
 	}
-	fs.tmp = tmp
-	if len(tmp) == 0 {
-		return fs.kf[:0]
+	fs.groups, fs.gid = groups, gid
+
+	order := fs.order[:0]
+	for g := range groups {
+		order = append(order, int32(g))
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ga, gb := &groups[a], &groups[b]
+		if ga.src != gb.src {
+			return cmp.Compare(ga.src, gb.src)
+		}
+		return cmp.Compare(ga.okey, gb.okey)
+	})
+	fs.order = order
+	pos := int32(0)
+	for _, g := range order {
+		groups[g].pos = pos
+		pos += groups[g].size
 	}
 
-	nb := int(maxSrc) + 2
-	if cap(fs.off) < nb {
-		fs.off = make([]int32, nb)
+	// Stable counting pass by Dst...
+	dcnt := slices.Grow(fs.dcnt[:0], maxDst+2)[:maxDst+2]
+	clear(dcnt)
+	for _, f := range flows {
+		dcnt[f.Dst+1]++
 	}
-	off := fs.off[:nb]
-	for i := range off {
-		off[i] = 0
+	for d := 1; d < len(dcnt); d++ {
+		dcnt[d] += dcnt[d-1]
 	}
-	for _, e := range tmp {
-		off[e.src+1]++
+	byDst := slices.Grow(fs.byDst[:0], n)[:n]
+	for i, f := range flows {
+		byDst[dcnt[f.Dst]] = int32(i)
+		dcnt[f.Dst]++
 	}
-	for s := 1; s < nb; s++ {
-		off[s] += off[s-1]
+	fs.dcnt, fs.byDst = dcnt, byDst
+	// ...then by group rank: each group's flows land in Dst order.
+	out = slices.Grow(out, n)[:n]
+	for _, i := range byDst {
+		g := &groups[gid[i]]
+		f := flows[i]
+		out[g.pos] = keyedFlow{okey: g.okey, src: g.src, dst: int32(f.Dst), idx: i}
+		g.pos++
 	}
-	if cap(fs.kf) < len(tmp) {
-		fs.kf = make([]keyedFlow, len(tmp))
+	return out
+}
+
+// nextEpoch starts a sort of n flows: it bumps the epoch (clearing the
+// stamps on wrap-around) and sizes the hash table for n keys.
+func (fs *flowSorter) nextEpoch(n int) {
+	fs.epoch++
+	if fs.epoch == 0 {
+		clear(fs.tagStamp)
+		clear(fs.hashStamp)
+		fs.epoch = 1
 	}
-	kf := fs.kf[:len(tmp)]
-	for _, e := range tmp {
-		kf[off[e.src]] = e
-		off[e.src]++
-	}
-	// After the scatter, off[s] is the END of bucket s.
-	lo := int32(0)
-	for s := 0; s <= int(maxSrc); s++ {
-		hi := off[s]
-		if hi-lo > 1 {
-			slices.SortFunc(kf[lo:hi], cmpKeyed)
+	if size := len(fs.hashKey); size < 2*n {
+		for size = max(size, 64); size < 2*n; size *= 2 {
 		}
-		lo = hi
+		fs.hashKey = make([]int64, size)
+		fs.hashStamp = make([]uint32, size)
+		fs.hashHead = make([]int32, size)
 	}
-	return kf
+}
+
+// head returns the key table slot holding the newest group keyed k,
+// initialized to -1 (no group) the first time k is seen this epoch.
+func (fs *flowSorter) head(k int64) *int32 {
+	if k > 0 && k < maxDenseTag {
+		if int(k) >= len(fs.tagHead) {
+			size := max(int(k)+1, 2*len(fs.tagHead))
+			fs.tagStamp = slices.Grow(fs.tagStamp, size-len(fs.tagStamp))[:size]
+			fs.tagHead = slices.Grow(fs.tagHead, size-len(fs.tagHead))[:size]
+		}
+		if fs.tagStamp[k] != fs.epoch {
+			fs.tagStamp[k], fs.tagHead[k] = fs.epoch, -1
+		}
+		return &fs.tagHead[k]
+	}
+	mask := uint64(len(fs.hashKey) - 1)
+	for h := (uint64(k) * 0x9e3779b97f4a7c15) >> 32 & mask; ; h = (h + 1) & mask {
+		switch {
+		case fs.hashStamp[h] != fs.epoch:
+			fs.hashStamp[h], fs.hashKey[h], fs.hashHead[h] = fs.epoch, k, -1
+			return &fs.hashHead[h]
+		case fs.hashKey[h] == k:
+			return &fs.hashHead[h]
+		}
+	}
 }
 
 // simulateFlows sorts and walks in one call — the single-stage entry
 // point used by tests; the pipeline calls flowSorter.sort and walkFlows
 // from their respective stages.
 func (a *arena) simulateFlows(flows []buffer.Flow, start int64) int64 {
-	return a.walkFlows(flows, a.sorter.sort(flows), start)
+	return a.walkFlows(flows, a.sorter.sort(flows, nil), start)
 }
 
 // walkFlows is the dense counterpart of simulateFlowsReference: it

@@ -37,22 +37,22 @@ import (
 const pipelineDepth = 4
 
 // prepSlot carries one prepared Round from the prep stage to the timing
-// stage. Slots are recycled through the ring, so their RoundIO slices and
-// engine lists stop allocating after the first few Rounds.
+// stage. Slots are recycled through the ring and pooled across runs with
+// the rest of runState, so their RoundIO slices, engine lists and flow
+// orders stop allocating once they have held the largest Round.
 type prepSlot struct {
 	t       int
 	placed  mapping.Result
 	io      buffer.RoundIO
 	engines []int       // engines of the Round's atoms, sorted (DRAM issue order)
 	keyed   []keyedFlow // io.Flows in deterministic link-claim order
-	sorter  flowSorter
 	err     error
 }
 
 // runner is one sim.Run in flight: the hardware models plus the timing
-// stage's running accumulators. The prep stage touches only man and
-// mapper; the timing stage touches everything else — the disjointness is
-// what legalizes the pipeline.
+// stage's running accumulators. The prep stage touches only man, mapper
+// and sorter; the timing stage touches everything else — the
+// disjointness is what legalizes the pipeline.
 type runner struct {
 	cfg    Config
 	d      *atom.DAG
@@ -60,6 +60,8 @@ type runner struct {
 	n      int
 	man    *buffer.Manager
 	mapper *mapping.Mapper
+	sorter *flowSorter
+	slots  *[pipelineDepth]prepSlot
 	hbm    *dram.HBM
 	orc    cost.Oracle
 	ar     *arena
@@ -83,8 +85,8 @@ func (r *runner) pollCtx() error {
 }
 
 // prep runs the pipeline's first stage for Round t into slot: placement,
-// buffer replay and the sorted engine list. Only the mapper and the
-// buffer manager are touched.
+// buffer replay, the sorted engine list and the flows' link-claim order.
+// Only the mapper, the buffer manager and the flow sorter are touched.
 func (r *runner) prep(t int, slot *prepSlot) {
 	slot.t = t
 	round := r.s.Rounds[t]
@@ -93,7 +95,7 @@ func (r *runner) prep(t int, slot *prepSlot) {
 	} else {
 		slot.placed = r.mapper.PlaceRoundWeighted(round.Atoms, r.man.Locate, r.man.HasWeights)
 	}
-	if slot.err = r.man.ExecuteRoundInto(t, slot.placed, &slot.io); slot.err != nil {
+	if slot.err = r.man.ExecuteRoundInto(t, &slot.placed, &slot.io); slot.err != nil {
 		return
 	}
 	engines := slot.engines[:0]
@@ -103,7 +105,7 @@ func (r *runner) prep(t int, slot *prepSlot) {
 	slices.Sort(engines)
 	slot.engines = engines
 	if !useReferenceFlows {
-		slot.keyed = slot.sorter.sort(slot.io.Flows)
+		slot.keyed = r.sorter.sort(slot.io.Flows, slot.keyed)
 	}
 }
 
@@ -277,16 +279,16 @@ func (r *runner) time(slot *prepSlot) {
 // — the single-Round path of Run, and the RunSerial reference the
 // pipelined path is tested against.
 func (r *runner) runSerial() error {
-	var slot prepSlot
+	slot := &r.slots[0]
 	for t := range r.s.Rounds {
 		if err := r.pollCtx(); err != nil {
 			return err
 		}
-		r.prep(t, &slot)
+		r.prep(t, slot)
 		if slot.err != nil {
 			return slot.err
 		}
-		r.time(&slot)
+		r.time(slot)
 		r.mapper.Recycle(&slot.placed)
 	}
 	return nil
@@ -301,8 +303,8 @@ func (r *runner) runSerial() error {
 func (r *runner) runPipelined() error {
 	free := make(chan *prepSlot, pipelineDepth)
 	ready := make(chan *prepSlot, pipelineDepth)
-	for i := 0; i < pipelineDepth; i++ {
-		free <- &prepSlot{}
+	for i := range r.slots {
+		free <- &r.slots[i]
 	}
 	stop := make(chan struct{})
 	var stopOnce sync.Once
@@ -362,14 +364,16 @@ func (r *runner) runPipelined() error {
 	return nil
 }
 
-// runState is the pooled per-mesh-shape trio rebuilt by every sim.Run
-// before this PR: the buffer manager, the mapper and the timing arena.
-// All three have O(atoms) or O(links) footprints and cheap Reset paths,
-// so serve requests and sweep iterations reuse them instead of
-// reallocating (counted by sim_pool_reuse_total).
+// runState is the pooled per-mesh-shape state of a sim.Run: the buffer
+// manager, the mapper, the prep stage's flow sorter and slot ring, and
+// the timing arena. All have O(atoms) or O(links) footprints and cheap
+// Reset paths, so serve requests and sweep iterations reuse them instead
+// of reallocating (counted by sim_pool_reuse_total).
 type runState struct {
 	man    *buffer.Manager
 	mapper *mapping.Mapper
+	sorter flowSorter
+	slots  [pipelineDepth]prepSlot
 	ar     *arena
 }
 

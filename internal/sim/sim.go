@@ -206,7 +206,7 @@ func run(d *atom.DAG, s *schedule.Schedule, cfg Config, pipeline bool) (Report, 
 
 	r := &runner{
 		cfg: cfg, d: d, s: s, n: n,
-		man: st.man, mapper: st.mapper, ar: st.ar,
+		man: st.man, mapper: st.mapper, sorter: &st.sorter, slots: &st.slots, ar: st.ar,
 		hbm: hbm, orc: orc, sm: sm,
 	}
 	r.rep.Rounds = s.NumRounds()
