@@ -730,6 +730,37 @@ func BenchmarkSimStage(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveColdE2E measures a whole cold solve — the SA search, the
+// atomic-DAG build, Round scheduling and simulation — through Orchestrate
+// at the default options and seed 1. The hardware carries one shared
+// cost oracle, warmed by an untimed first solve, as a long-running server
+// holds one: the benchmark times the pipeline, not first-touch pricing.
+func BenchmarkSolveColdE2E(b *testing.B) {
+	for _, model := range stageModels {
+		b.Run(model, func(b *testing.B) {
+			g, err := LoadModel(model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hw := DefaultHardware()
+			hw.Oracle = NewCostOracle()
+			opt := Options{Hardware: &hw, Seed: 1}
+			sol, err := Orchestrate(g, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if sol, err = Orchestrate(g, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sol.Atoms), "atoms")
+		})
+	}
+}
+
 // benchCalibSink keeps the calibration kernel from being elided.
 var benchCalibSink uint64
 

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench 'SimRun|PlaceRound|AtomBuild|ScheduleBuild|SimStage|Calibration' . | tee bench.txt
+//	go test -run xxx -bench 'SimRun|PlaceRound|AtomBuild|ScheduleBuild|SimStage|SolveColdE2E|Calibration' . | tee bench.txt
 //	benchgate -baseline testdata/bench_baseline.json -out BENCH_sim.json bench.txt
 //	benchgate -baseline testdata/bench_baseline.json -update bench.txt   # re-pin
 //
@@ -44,6 +44,7 @@ var gated = []string{
 	"AtomBuild/resnet50", "AtomBuild/nasnet",
 	"ScheduleBuild/resnet50", "ScheduleBuild/nasnet",
 	"SimStage/resnet50", "SimStage/nasnet",
+	"SolveColdE2E/resnet50", "SolveColdE2E/nasnet",
 }
 
 // baseline is the checked-in reference (testdata/bench_baseline.json).

@@ -2,6 +2,8 @@ package anneal
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
@@ -113,6 +115,87 @@ func TestPickNearest(t *testing.T) {
 	for _, c := range cases {
 		if got := lc.pick(c.target); got != c.want {
 			t.Errorf("pick(%d) = %d, want %d", c.target, got, c.want)
+		}
+	}
+}
+
+// pickScan is the full-scan definition of layerCands.pick: it tests every
+// candidate for window membership instead of binary-searching the
+// window's index range. pick must return the same index for every target.
+func (lc *layerCands) pickScan(target int64) int {
+	c := lc.cands
+	i := sort.Search(len(c), func(i int) bool { return c[i].cycles >= target })
+	nearest := i
+	if i == len(c) {
+		nearest = len(c) - 1
+	} else if i > 0 && target-c[i-1].cycles <= c[i].cycles-target {
+		nearest = i - 1
+	}
+	lo, hi := target-target/4, target+target/4
+	maxUtil := 0.0
+	for j := range c {
+		if c[j].cycles >= lo && c[j].cycles <= hi && c[j].util > maxUtil {
+			maxUtil = c[j].util
+		}
+	}
+	best, bestTiles := -1, 0
+	for j := range c {
+		if c[j].cycles < lo || c[j].cycles > hi || c[j].util < 0.9*maxUtil {
+			continue
+		}
+		ct := channelTiles(lc.layer, c[j].part.Cop)
+		if best < 0 || ct < bestTiles ||
+			(ct == bestTiles && absDiff(c[j].cycles, target) < absDiff(c[best].cycles, target)) {
+			best, bestTiles = j, ct
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	return nearest
+}
+
+// TestPickWindowMatchesScan checks the windowed pick against pickScan on
+// every layer of every zoo model: at each pick-table breakpoint, one
+// either side of it, at every candidate's cycles and window edges, and at
+// random targets up to 4x the largest candidate.
+func TestPickWindowMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, model := range models.Names() {
+		if testing.Short() && model == "resnet1001" {
+			continue
+		}
+		s := testSearch(t, model)
+		for i := range s.all {
+			lc := s.lcAt[i]
+			if len(lc.cands) == 0 {
+				continue
+			}
+			check := func(target int64) {
+				if target < 1 {
+					return
+				}
+				if got, want := lc.pick(target), lc.pickScan(target); got != want {
+					t.Fatalf("%s layer %d target %d: pick %d, pickScan %d", model, s.all[i], target, got, want)
+				}
+			}
+			for _, bp := range buildPickTable(lc).ts {
+				check(bp - 1)
+				check(bp)
+				check(bp + 1)
+			}
+			maxCy := int64(1)
+			for _, c := range lc.cands {
+				maxCy = max(maxCy, c.cycles)
+				for _, t := range []int64{c.cycles, c.cycles * 4 / 5, c.cycles * 4 / 3} {
+					check(t - 1)
+					check(t)
+					check(t + 1)
+				}
+			}
+			for k := 0; k < 64; k++ {
+				check(1 + rng.Int63n(4*maxCy))
+			}
 		}
 	}
 }

@@ -58,18 +58,23 @@ func (lc *layerCands) pick(target int64) int {
 		nearest = i - 1
 	}
 	lo, hi := target-target/4, target+target/4
+	// The candidates are sorted by cycles, so the window is the index
+	// range [jlo, jhi); scanning it in ascending order keeps every
+	// tie-break of a full scan.
+	jlo := sort.Search(len(c), func(j int) bool { return c[j].cycles >= lo })
+	jhi := jlo + sort.Search(len(c)-jlo, func(j int) bool { return c[jlo+j].cycles > hi })
 	// Within the window: keep near-peak PE utilization (target 1), then
 	// minimize channel tiles (target 2: every extra channel tile
 	// re-reads the whole input once), then nearest cycles.
 	maxUtil := 0.0
-	for j := range c {
-		if c[j].cycles >= lo && c[j].cycles <= hi && c[j].util > maxUtil {
+	for j := jlo; j < jhi; j++ {
+		if c[j].util > maxUtil {
 			maxUtil = c[j].util
 		}
 	}
 	best, bestTiles := -1, 0
-	for j := range c {
-		if c[j].cycles < lo || c[j].cycles > hi || c[j].util < 0.9*maxUtil {
+	for j := jlo; j < jhi; j++ {
+		if c[j].util < 0.9*maxUtil {
 			continue
 		}
 		ct := channelTiles(lc.layer, c[j].part.Cop)

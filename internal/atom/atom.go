@@ -13,6 +13,7 @@ package atom
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
@@ -256,9 +257,10 @@ func consumersOf(atoms []*Atom) [][]int {
 // builder holds the reusable scratch of one Build. Atoms come from one
 // slab; each atom's Deps/DepBytes are capacity-capped windows carved from
 // chunked arenas, so appending to one atom's deps can never overwrite a
-// neighbour's. pos/stamp are an epoch-stamped dense map from producer
-// atom ID to its slot in the atom under construction: bumping epoch
-// clears it in O(1).
+// neighbour's. Consecutive atoms of one (sample, layer) with equal
+// back-projected refs share one window (see addLayerAtoms). pos/stamp
+// are an epoch-stamped dense map from producer atom ID to its slot in
+// the atom under construction: bumping epoch clears it in O(1).
 type builder struct {
 	d    *DAG
 	slab []Atom
@@ -267,9 +269,10 @@ type builder struct {
 	stamp []uint32
 	epoch uint32
 
-	deps  []int       // scratch: current atom's producers, in first-seen order
-	bytes []int64     // scratch: overlap volume per entry of deps
-	refs  []regionRef // scratch: current atom's back-projected input regions
+	deps     []int       // scratch: current atom's producers, in first-seen order
+	bytes    []int64     // scratch: overlap volume per entry of deps
+	refs     []regionRef // scratch: current atom's back-projected input regions
+	prevRefs []regionRef // the refs whose window the previous atom owns
 
 	depArena  []int
 	byteArena []int64
@@ -283,11 +286,20 @@ const (
 )
 
 // addLayerAtoms tiles one (layer, sample) and wires dependency edges.
+//
+// An atom whose back-projected refs equal the previous atom's reuses
+// that atom's Deps/DepBytes window: depsFor is a pure function of
+// (sample, refs), so the edges are identical. Tiles are visited with the
+// channel index innermost, so every output-channel tile at one spatial
+// position of a dense conv or FC layer — which all read the same input
+// region — shares one window. Depthwise, pool and eltwise channel tiles
+// read distinct channel ranges and never do.
 func (b *builder) addLayerAtoms(sample int, l *graph.Layer, part Partition) {
 	d := b.d
 	s := l.Shape
 	nH, nW, nC := ceilDiv(s.Ho, part.Hp), ceilDiv(s.Wo, part.Wp), ceilDiv(s.Co, part.Cop)
 	d.grids[sample][l.ID] = grid{part: part, nH: nH, nW: nW, nC: nC, base: len(d.Atoms)}
+	var prev *Atom
 	idx := 0
 	for ih := 0; ih < nH; ih++ {
 		for iw := 0; iw < nW; iw++ {
@@ -307,7 +319,14 @@ func (b *builder) addLayerAtoms(sample int, l *graph.Layer, part Partition) {
 					Region: r,
 					Task:   taskFor(l, r),
 				}
-				a.Deps, a.DepBytes = b.depsFor(sample, l, r)
+				b.refs = appendInputRegions(b.refs[:0], d.Graph, l, r)
+				if prev != nil && slices.Equal(b.refs, b.prevRefs) {
+					a.Deps, a.DepBytes = prev.Deps, prev.DepBytes
+				} else {
+					a.Deps, a.DepBytes = b.depsFor(sample)
+					b.refs, b.prevRefs = b.prevRefs, b.refs
+				}
+				prev = a
 				d.Atoms = append(d.Atoms, a)
 				idx++
 			}
@@ -330,14 +349,13 @@ func taskFor(l *graph.Layer, r Region) engine.Task {
 	return t
 }
 
-// depsFor resolves the producer atoms whose outputs overlap the input
-// receptive field of region r of layer l in the given sample, together
-// with the per-edge overlap volume in bytes. Producers appear in the
-// order they are first reached.
-func (b *builder) depsFor(sample int, l *graph.Layer, r Region) ([]int, []int64) {
+// depsFor resolves the producer atoms whose outputs overlap the refs in
+// b.refs (an atom's back-projected receptive field) in the given sample,
+// together with the per-edge overlap volume in bytes. Producers appear in
+// the order they are first reached.
+func (b *builder) depsFor(sample int) ([]int, []int64) {
 	b.epoch++
 	b.deps, b.bytes = b.deps[:0], b.bytes[:0]
-	b.refs = appendInputRegions(b.refs[:0], b.d.Graph, l, r)
 	for _, ref := range b.refs {
 		b.collectOverlaps(sample, ref)
 	}

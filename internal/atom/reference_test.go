@@ -2,6 +2,7 @@ package atom_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/atomic-dataflow/atomicflow/internal/anneal"
@@ -195,29 +196,110 @@ func (d *refDAG) collectOverlaps(sample int, ref refRegionRef, visit func(id int
 
 func refCeilDiv(a, b int) int { return (a + b - 1) / b }
 
+// zooSpecs memoizes the default-profile partition spec of each zoo model
+// across the tests of this file.
+var zooSpecs = map[string]atom.Spec{}
+
+// zooSpec returns the partition spec the default search profile (SA seed
+// 1, 600 iterations, 1024 tiles per layer) finds for a zoo model.
+func zooSpec(g *graph.Graph) atom.Spec {
+	if spec, ok := zooSpecs[g.Name]; ok {
+		return spec
+	}
+	hw := sim.DefaultConfig()
+	spec := anneal.SA(g, hw.Engine, hw.Dataflow,
+		anneal.Options{MaxIters: 600, Seed: 1, MaxTilesPerLay: 1024}).Spec
+	zooSpecs[g.Name] = spec
+	return spec
+}
+
+// zooModels lists the zoo, without resnet1001 under -short.
+func zooModels() []string {
+	var out []string
+	for _, model := range models.Names() {
+		if !testing.Short() || model != "resnet1001" {
+			out = append(out, model)
+		}
+	}
+	return out
+}
+
 // TestDepsMatchReference checks the dense dependency builder against the
 // map-based reference on every zoo model, at the default search profile
-// (SA seed 1, 600 iterations, 1024 tiles per layer) and batch 1 and 2:
-// same atoms, and per atom the same Deps and DepBytes in the same order.
+// and batch 1 and 2: same atoms, and per atom the same Deps and DepBytes
+// in the same order.
 func TestDepsMatchReference(t *testing.T) {
-	hw := sim.DefaultConfig()
-	for _, model := range models.Names() {
-		if testing.Short() && model == "resnet1001" {
-			continue
-		}
+	for _, model := range zooModels() {
 		t.Run(model, func(t *testing.T) {
 			g := models.MustBuild(model)
-			res := anneal.SA(g, hw.Engine, hw.Dataflow,
-				anneal.Options{MaxIters: 600, Seed: 1, MaxTilesPerLay: 1024})
+			spec := zooSpec(g)
 			for _, batch := range []int{1, 2} {
-				d, err := atom.Build(g, batch, res.Spec)
+				d, err := atom.Build(g, batch, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareToReference(t, d, refBuild(g, batch, res.Spec))
+				compareToReference(t, d, refBuild(g, batch, spec))
 			}
 		})
 	}
+}
+
+// TestDepWindowsShared checks atom.Build's window sharing on every zoo
+// model at the default search profile and batch 1 and 2. Consecutive
+// atoms of one (sample, layer) share one Deps/DepBytes window exactly
+// when the reference back-projects them to equal refs, and the shared
+// values still match the map-based reference. Depthwise, pool and
+// eltwise channel tiles read distinct input channels, so they never
+// share.
+func TestDepWindowsShared(t *testing.T) {
+	var shared, unshared, channelOwn int
+	for _, model := range zooModels() {
+		g := models.MustBuild(model)
+		spec := zooSpec(g)
+		for _, batch := range []int{1, 2} {
+			d, err := atom.Build(g, batch, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareToReference(t, d, refBuild(g, batch, spec))
+			for id := 1; id < d.NumAtoms(); id++ {
+				a, prev := d.Atoms[id], d.Atoms[id-1]
+				if a.Layer != prev.Layer || a.Sample != prev.Sample || len(a.Deps) == 0 || len(prev.Deps) == 0 {
+					continue
+				}
+				l := g.Layer(a.Layer)
+				equal := slices.Equal(refInputRegions(g, l, a.Region), refInputRegions(g, l, prev.Region))
+				aliased := &a.Deps[0] == &prev.Deps[0]
+				if aliased != (&a.DepBytes[0] == &prev.DepBytes[0]) {
+					t.Fatalf("%s batch %d atom %d: Deps and DepBytes windows aliased differently", model, batch, id)
+				}
+				if aliased != equal {
+					t.Fatalf("%s batch %d atoms %d, %d: equal refs %v but shared window %v",
+						model, batch, prev.ID, id, equal, aliased)
+				}
+				switch l.Kind {
+				case graph.OpDepthwiseConv, graph.OpPool, graph.OpEltwise:
+					if a.Region.C0 != prev.Region.C0 {
+						channelOwn++
+						if aliased {
+							t.Fatalf("%s batch %d: %v channel tiles %d, %d share a window", model, batch, l.Kind, prev.ID, id)
+						}
+					}
+				}
+				if aliased {
+					shared++
+				} else {
+					unshared++
+				}
+			}
+		}
+	}
+	if shared == 0 || unshared == 0 || channelOwn == 0 {
+		t.Fatalf("vacuous: %d shared, %d unshared pairs, %d depthwise/pool/eltwise channel-tile pairs",
+			shared, unshared, channelOwn)
+	}
+	t.Logf("%d consecutive pairs share a window, %d do not (%d depthwise/pool/eltwise channel tiles)",
+		shared, unshared, channelOwn)
 }
 
 // TestDepsMatchReferenceRepeatedProducers covers what the zoo never

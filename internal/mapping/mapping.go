@@ -253,7 +253,7 @@ func (m *Mapper) PlaceRoundWeighted(roundAtoms []int, locate Locator, weights We
 	}
 	if weights != nil {
 		m.refineForWeights(groups, best, res.engineOf, weights)
-		res.ByteHops = m.placementCost(&res, locate)
+		res.ByteHops = m.placementCost(&res)
 	}
 	return res
 }
@@ -365,19 +365,13 @@ func heapRanks(n int) map[uint32]int {
 	return heapRankTabs[n]
 }
 
-// placementCost recomputes the ifmap byte-hop cost of a final placement.
-func (m *Mapper) placementCost(res *Result, locate Locator) int64 {
+// placementCost recomputes the ifmap byte-hop cost of a final placement
+// from the Round's cost rows: every atom lands on one of the Round's
+// slots, and its row already holds the cost of each.
+func (m *Mapper) placementCost(res *Result) int64 {
 	var cost int64
 	for _, id := range res.placed {
-		dst := int(res.engineOf[id])
-		a := m.dag.Atoms[id]
-		for di, dep := range a.Deps {
-			src := locate(dep)
-			if src < 0 || src == dst {
-				continue
-			}
-			cost += a.DepBytes[di] * int64(m.mesh.Hops(src, dst))
-		}
+		cost += m.atomRows[int(m.rowOf[id])*m.ctSlots+int(m.slotOf[res.engineOf[id]])]
 	}
 	return cost
 }
@@ -448,6 +442,13 @@ func (m *Mapper) refineForWeights(groups []group, perm []int, engineOf []int32, 
 // are fixed by locate (they were placed in earlier Rounds), so the cost
 // of a group depends only on its base slot — a permutation's TransferCost
 // is the sum of M lookups along its prefix bases (see permCost).
+//
+// An atom's cost row depends only on its Deps/DepBytes and locate, so an
+// atom whose windows alias those of the group's previous freshly-priced
+// atom (atom.Build shares one window among the channel tiles of a dense
+// layer that read the same input region) reuses that row, and every atom
+// with no on-chip dependency shares one all-zero row that adds nothing to
+// groupCost.
 func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 	slots := 0
 	for _, g := range groups {
@@ -458,9 +459,10 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 	groupCost := growInt64s(&m.groupCost, len(groups)*slots)
 	// Each atom's per-slot cost row is kept (with a lookup index by atom
 	// ID and an engine -> slot inverse) so refineForWeights can price
-	// intra-group swaps without re-walking any dependency lists. Stale
-	// rowOf/slotOf entries from earlier Rounds are never read: refinement
-	// only queries this Round's atoms and slot engines.
+	// intra-group swaps and placementCost can price the final placement
+	// without re-walking any dependency lists. Stale rowOf/slotOf entries
+	// from earlier Rounds are never read: both only query this Round's
+	// atoms and slot engines.
 	ne := m.mesh.Engines()
 	atomRows := growInt64s(&m.atomRows, slots*slots)
 	rowOf := growInt32s(&m.rowOf, m.dag.NumAtoms())
@@ -469,42 +471,62 @@ func (m *Mapper) buildCostTable(groups []group, locate Locator) {
 	for s := 0; s < slots; s++ {
 		slotOf[m.zigzag[s]] = int32(s)
 	}
-	r := 0
+	r, zero := 0, int32(-1) // rows used; the shared all-zero row, once needed
 	for gi, g := range groups {
 		sizes[gi] = len(g.atoms)
 		gc := groupCost[gi*slots : (gi+1)*slots]
-		for b := range gc {
-			gc[b] = 0
-		}
+		clear(gc)
+		var fresh *atom.Atom // the group's last atom priced from its deps
 		for k, id := range g.atoms {
 			a := m.dag.Atoms[id]
-			row := atomRows[r*slots : (r+1)*slots]
-			rowOf[id] = int32(r)
-			r++
-			for s := range row {
-				row[s] = 0
-			}
-			// Sum the on-chip dependency bytes per source engine first, so
-			// the per-slot loop runs once per source instead of once per
-			// dependency (atoms often read several tiles held by one
-			// engine). Integer sums, so the row is exactly the
-			// per-dependency sum. The loop around locate only records
-			// bytes, which keeps Rounds whose dependencies are all
-			// off-chip as cheap as a plain per-dependency loop.
-			for di, dep := range a.Deps {
-				if src := locate(dep); src >= 0 {
-					m.addSrcBytes(src, a.DepBytes[di])
+			if fresh != nil && sameDepWindow(a, fresh) {
+				rowOf[id] = rowOf[fresh.ID]
+			} else {
+				fresh = a
+				// Sum the on-chip dependency bytes per source engine first,
+				// so the per-slot loop runs once per source instead of once
+				// per dependency (atoms often read several tiles held by
+				// one engine). Integer sums, so the row is exactly the
+				// per-dependency sum.
+				for di, dep := range a.Deps {
+					if src := locate(dep); src >= 0 {
+						m.addSrcBytes(src, a.DepBytes[di])
+					}
+				}
+				if len(m.srcList) == 0 {
+					if zero < 0 {
+						zero = int32(r)
+						clear(atomRows[r*slots : (r+1)*slots])
+						r++
+					}
+					rowOf[id] = zero
+				} else {
+					row := atomRows[r*slots : (r+1)*slots]
+					clear(row)
+					m.addSrcCosts(row)
+					rowOf[id] = int32(r)
+					r++
 				}
 			}
-			if len(m.srcList) > 0 {
-				m.addSrcCosts(row)
+			if rowOf[id] == zero {
+				continue
 			}
+			row := atomRows[int(rowOf[id])*slots : int(rowOf[id]+1)*slots]
 			// A group at base b puts its k-th atom on slot b+k.
 			for b := 0; b+len(g.atoms) <= slots; b++ {
 				gc[b] += row[b+k]
 			}
 		}
 	}
+}
+
+// sameDepWindow reports whether two atoms' Deps and DepBytes are the same
+// windows of the same backing arrays.
+func sameDepWindow(a, b *atom.Atom) bool {
+	if len(a.Deps) != len(b.Deps) {
+		return false
+	}
+	return len(a.Deps) == 0 || &a.Deps[0] == &b.Deps[0] && &a.DepBytes[0] == &b.DepBytes[0]
 }
 
 // addSrcBytes records bytes of one on-chip dependency held by engine src.
@@ -532,8 +554,7 @@ func (m *Mapper) addSrcCosts(row []int64) {
 }
 
 // permCost prices one layer permutation from the cost table built by
-// buildCostTable: O(M) lookups, no allocation, exactly equal to
-// transferCost on the same groups and locator.
+// buildCostTable: O(M) lookups, no allocation.
 func (m *Mapper) permCost(perm []int) int64 {
 	var c int64
 	base := 0
@@ -598,34 +619,6 @@ func (m *Mapper) groupByLayer(roundAtoms []int) []group {
 	}
 	m.groupsBuf = groups
 	return groups
-}
-
-// transferCost prices one layer permutation: place groups in zig-zag
-// sequence and sum hop-weighted bytes of every on-chip dependency fetch.
-func (m *Mapper) transferCost(groups []group, perm []int, locate Locator) int64 {
-	engineOf := make(map[int]int, len(groups)*2)
-	slot := 0
-	for _, gi := range perm {
-		for _, id := range groups[gi].atoms {
-			engineOf[id] = m.zigzag[slot]
-			slot++
-		}
-	}
-	var cost int64
-	for _, gi := range perm {
-		for _, id := range groups[gi].atoms {
-			dst := engineOf[id]
-			a := m.dag.Atoms[id]
-			for di, dep := range a.Deps {
-				src := locate(dep)
-				if src < 0 || src == dst {
-					continue
-				}
-				cost += a.DepBytes[di] * int64(m.mesh.Hops(src, dst))
-			}
-		}
-	}
-	return cost
 }
 
 // permute calls visit with every permutation of order (Heap's algorithm).

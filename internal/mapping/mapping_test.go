@@ -1,12 +1,16 @@
 package mapping
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/atomic-dataflow/atomicflow/internal/anneal"
 	"github.com/atomic-dataflow/atomicflow/internal/atom"
+	"github.com/atomic-dataflow/atomicflow/internal/engine"
 	"github.com/atomic-dataflow/atomicflow/internal/graph"
 	"github.com/atomic-dataflow/atomicflow/internal/models"
 	"github.com/atomic-dataflow/atomicflow/internal/noc"
+	"github.com/atomic-dataflow/atomicflow/internal/schedule"
 )
 
 func TestZigZagOrder(t *testing.T) {
@@ -173,6 +177,35 @@ func TestSameLayerAtomsAdjacent(t *testing.T) {
 	}
 }
 
+// transferCost is the reference pricing of one layer permutation: place
+// groups in zig-zag sequence and sum hop-weighted bytes of every on-chip
+// dependency fetch. permCost over the cost table must equal it.
+func (m *Mapper) transferCost(groups []group, perm []int, locate Locator) int64 {
+	engineOf := make(map[int]int, len(groups)*2)
+	slot := 0
+	for _, gi := range perm {
+		for _, id := range groups[gi].atoms {
+			engineOf[id] = m.zigzag[slot]
+			slot++
+		}
+	}
+	var cost int64
+	for _, gi := range perm {
+		for _, id := range groups[gi].atoms {
+			dst := engineOf[id]
+			a := m.dag.Atoms[id]
+			for di, dep := range a.Deps {
+				src := locate(dep)
+				if src < 0 || src == dst {
+					continue
+				}
+				cost += a.DepBytes[di] * int64(m.mesh.Hops(src, dst))
+			}
+		}
+	}
+	return cost
+}
+
 // TestCostTableMatchesTransferCost pins the dense permutation evaluator
 // (buildCostTable + permCost) to the reference transferCost walk on every
 // permutation of a multi-group Round, so the search ranks permutations
@@ -265,5 +298,103 @@ func TestHillClimbManyGroups(t *testing.T) {
 			t.Fatal("duplicate engine assignment")
 		}
 		seen[e] = true
+	}
+}
+
+// byteHopsRef prices a placement by walking every placed atom's
+// dependencies, independently of the Mapper's cost rows.
+func byteHopsRef(mesh *noc.Mesh, d *atom.DAG, res Result, locate Locator) int64 {
+	var cost int64
+	for _, id := range res.Placed() {
+		dst := res.Engine(id)
+		a := d.Atoms[id]
+		for di, dep := range a.Deps {
+			if src := locate(dep); src >= 0 && src != dst {
+				cost += a.DepBytes[di] * int64(mesh.Hops(src, dst))
+			}
+		}
+	}
+	return cost
+}
+
+// unsharedCopy deep-copies a DAG's atoms with every atom owning fresh
+// Deps/DepBytes slices, so no two atoms share a dependency window.
+func unsharedCopy(d *atom.DAG) *atom.DAG {
+	cp := *d
+	cp.Atoms = make([]*atom.Atom, len(d.Atoms))
+	for i, a := range d.Atoms {
+		b := *a
+		b.Deps = append([]int(nil), a.Deps...)
+		b.DepBytes = append([]int64(nil), a.DepBytes...)
+		cp.Atoms[i] = &b
+	}
+	return &cp
+}
+
+// TestSharedRowsMatchUnshared places every Round of the resnet50 and
+// nasnet default-profile DP schedules on the built DAG, whose dense
+// channel tiles share dependency windows and so cost rows, and on an
+// unshared deep copy that prices every atom's row from its own deps. Two
+// in three dependencies reside where the Round that produced them placed
+// them, the rest in DRAM, and a pseudo-random weight locator drives the
+// refinement and placementCost. Both Mappers must agree on every Engine,
+// Placed, ByteHops and Perms, and ByteHops must equal a walk over the
+// placed atoms' dependencies.
+func TestSharedRowsMatchUnshared(t *testing.T) {
+	mesh := noc.NewMesh(8, 8, 32)
+	for _, model := range []string{"resnet50", "nasnet"} {
+		g := models.MustBuild(model)
+		res := anneal.SA(g, engine.Default(), engine.KCPartition,
+			anneal.Options{MaxIters: 600, Seed: 1, MaxTilesPerLay: 1024})
+		d, err := atom.Build(g, 1, res.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := schedule.Build(d, schedule.Options{
+			Engines: mesh.Engines(), EngineCfg: engine.Default(), Dataflow: engine.KCPartition,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, unshared := New(mesh, d), New(mesh, unsharedCopy(d))
+		engineOf := make([]int, d.NumAtoms())
+		for i := range engineOf {
+			engineOf[i] = -1
+		}
+		locate := func(id int) int {
+			if id%3 == 0 {
+				return -1 // evicted to DRAM
+			}
+			return engineOf[id]
+		}
+		weights := func(e, id int) bool { return (e*7919+id*31)%5 == 0 }
+		reused := 0
+		for ri, round := range sched.Rounds {
+			got := shared.PlaceRoundWeighted(round.Atoms, locate, weights)
+			want := unshared.PlaceRoundWeighted(round.Atoms, locate, weights)
+			if got.ByteHops != want.ByteHops || got.Perms != want.Perms ||
+				!slices.Equal(got.Placed(), want.Placed()) {
+				t.Fatalf("%s round %d: shared (%d B·hops, %d perms, %v), unshared (%d, %d, %v)",
+					model, ri, got.ByteHops, got.Perms, got.Placed(), want.ByteHops, want.Perms, want.Placed())
+			}
+			if ref := byteHopsRef(mesh, d, got, locate); got.ByteHops != ref {
+				t.Fatalf("%s round %d: ByteHops %d, dependency walk gives %d", model, ri, got.ByteHops, ref)
+			}
+			rows := map[int32]bool{}
+			for _, id := range round.Atoms {
+				if got.Engine(id) != want.Engine(id) {
+					t.Fatalf("%s round %d atom %d: engine %d, unshared %d", model, ri, id, got.Engine(id), want.Engine(id))
+				}
+				engineOf[id] = got.Engine(id)
+				rows[shared.rowOf[id]] = true
+			}
+			reused += len(round.Atoms) - len(rows)
+			shared.Recycle(&got)
+			unshared.Recycle(&want)
+		}
+		if reused == 0 {
+			t.Fatalf("%s: no Round reused a cost row", model)
+		}
+		t.Logf("%s: %d of %d atom rows reused", model, reused, d.NumAtoms())
 	}
 }

@@ -187,12 +187,13 @@ func (st *state) combCost(comb []int) int64 {
 // applying comb, then closes with the packing lower bound
 // remainingWork / N — the DP(G') estimate for the un-traversed sub-DAG.
 func (st *state) lookaheadCost(comb []int, depth int) int64 {
+	if depth <= 0 {
+		return st.leafCost(comb)
+	}
 	st.apply(comb)
 	var cost int64
 	if st.remaining == 0 {
 		cost = 0
-	} else if depth <= 0 {
-		cost = st.totalWork / int64(st.opt.Engines)
 	} else {
 		options := st.options()
 		best := int64(-1)
@@ -209,4 +210,17 @@ func (st *state) lookaheadCost(comb []int, depth int) int64 {
 	}
 	st.rollback()
 	return cost
+}
+
+// leafCost is the depth-0 lookahead in closed form: the packing lower
+// bound of the work left once comb runs. comb holds distinct unscheduled
+// atoms, so applying it would drop totalWork by exactly their cycles, and
+// nothing else the bound reads changes: no apply or rollback is needed.
+// When comb finishes the DAG the work left is 0, the bound's value there.
+func (st *state) leafCost(comb []int) int64 {
+	work := st.totalWork
+	for _, id := range comb {
+		work -= st.cycles[id]
+	}
+	return work / int64(st.opt.Engines)
 }
